@@ -27,12 +27,9 @@ from .words import (
     Presentation,
     PresentationFile,
     Word,
-    abelianize_word,
     free_abelianization,
-    invert,
     load_presentation,
     make_alphabet,
-    multiply,
     parse_presentation_text,
     parse_word,
     presentation,
@@ -85,7 +82,6 @@ from .bns import (
     OpenCone,
     SigmaDescription,
     SphereArcs,
-    SphereClass,
     compare_sigma,
     cone_arc,
     cone_contains,
@@ -94,13 +90,11 @@ from .bns import (
     rank2_arcs,
     sigma_alexander,
     sigma_principal,
-    sphere_class,
 )
 from .brown import (
     LatticePath,
     UnsupportedPresentation,
     brown_sigma,
-    render_path,
     simple_vertices,
     trace_relator,
 )

@@ -105,14 +105,20 @@ class AlexanderMatrix:
         return len(self.presentation.alphabet)
 
     def __post_init__(self) -> None:
-        ab = self.abelianization
-        rank = ab.rank
-        for i, row in enumerate(self.entries):
-            total = LaurentPoly.zero(rank)
-            for j, entry in enumerate(row):
-                xj = LaurentPoly.monomial(rank, ab.generator_image(j))
-                total = total + entry * (xj - 1)
-            assert total.is_zero(), f"fundamental identity fails on relator {i}"
+        for i, residue in enumerate(_fox_residues(self)):
+            assert residue.is_zero(), f"fundamental identity fails on relator {i}"
+
+
+def _fox_residues(mat: AlexanderMatrix) -> list[LaurentPoly]:
+    """sum_j (dr/dx_j)(x_j - 1) for each relator r, zero by Fox's identity."""
+    ab = mat.abelianization
+    factors = [
+        LaurentPoly.monomial(ab.rank, ab.generator_image(j)) - 1 for j in range(mat.ncols)
+    ]
+    return [
+        sum((entry * factor for entry, factor in zip(row, factors)), LaurentPoly.zero(ab.rank))
+        for row in mat.entries
+    ]
 
 
 def alexander_matrix(p: Presentation) -> AlexanderMatrix:
@@ -210,7 +216,7 @@ class CheckReport:
         }
 
 
-def check_e1_structure(p: Presentation) -> CheckReport:
+def check_e1_structure(data: AlexanderData) -> CheckReport:
     """Verify E_1 = m * (Delta) for a two-generator one-relator presentation.
 
     Concretely: dr/da must be (b - 1) * Delta up to a unit and dr/db must
@@ -219,13 +225,13 @@ def check_e1_structure(p: Presentation) -> CheckReport:
     accepted; anything else is reported as unsupported, not an error.
     """
     name = "e1_structure"
+    p = data.matrix.presentation
     if len(p.alphabet) != 2 or len(p.relators) != 1:
         return CheckReport(
             name,
             "unsupported",
             (f"needs 2 generators and 1 relator, got {len(p.alphabet)} and {len(p.relators)}",),
         )
-    data = alexander_data(p)
     ab = data.abelianization
     if ab.rank != 2:
         return CheckReport(name, "unsupported", (f"needs b_1 = 2, got {ab.rank}",))
@@ -256,19 +262,13 @@ def check_e1_structure(p: Presentation) -> CheckReport:
     return CheckReport(name, status, tuple(witnesses))
 
 
-def check_fundamental_identity(p: Presentation) -> CheckReport:
-    """Recompute the Fox fundamental identity row by row (always asserted anyway)."""
-    mat = alexander_matrix(p)
-    ab = mat.abelianization
+def check_fundamental_identity(data: AlexanderData) -> CheckReport:
+    """Recompute the Fox fundamental identity row by row (asserted at construction too)."""
     witnesses = []
-    for i, row in enumerate(mat.entries):
-        total = LaurentPoly.zero(ab.rank)
-        for j, entry in enumerate(row):
-            xj = LaurentPoly.monomial(ab.rank, ab.generator_image(j))
-            total = total + entry * (xj - 1)
-        if not total.is_zero():
+    for i, residue in enumerate(_fox_residues(data.matrix)):
+        if not residue.is_zero():
             return CheckReport(
-                "fundamental_identity", "fail", (f"relator {i}: residue {total!r}",)
+                "fundamental_identity", "fail", (f"relator {i}: residue {residue!r}",)
             )
         witnesses.append(f"relator {i}: sum_j (dr/dx_j)(x_j - 1) = 0")
     return CheckReport("fundamental_identity", "pass", tuple(witnesses))

@@ -47,21 +47,6 @@ def primitive(vector: Sequence[int]) -> Vec:
 
 
 @dataclass(frozen=True)
-class SphereClass:
-    """A point of the character sphere: a primitive nonzero integer direction."""
-
-    direction: Vec
-
-    @property
-    def rank(self) -> int:
-        return len(self.direction)
-
-
-def sphere_class(vector: Sequence[int]) -> SphereClass:
-    return SphereClass(primitive(vector))
-
-
-@dataclass(frozen=True)
 class OpenCone:
     """Open cone { chi : chi . d > 0 for every constraint d }, labeled by a vertex."""
 
@@ -76,9 +61,9 @@ def _make_cone(label: Vec, others: Iterable[Vec]) -> OpenCone:
     return OpenCone(tuple(label), tuple(constraints))
 
 
-def cone_contains(cone: OpenCone, chi: SphereClass | Sequence[int]) -> bool:
+def cone_contains(cone: OpenCone, chi: Sequence[int]) -> bool:
     """Exact membership: every constraint pairs strictly positively with chi."""
-    direction = chi.direction if isinstance(chi, SphereClass) else tuple(chi)
+    direction = tuple(chi)
     if len(direction) != len(cone.label):
         raise ValueError("rank mismatch between cone and sphere class")
     return all(

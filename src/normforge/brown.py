@@ -113,28 +113,3 @@ def brown_sigma(p: Presentation) -> SigmaDescription:
         if mult == 1
     )
     return SigmaDescription(2, components, ())
-
-
-def render_path(path: LatticePath, simple: list[tuple[int, int]] | None = None) -> str:
-    """Plain-text grid picture of a path; '*' marks simple vertices.
-
-    Grid characters: 'o' visited point, '.' unvisited, 'S' the basepoint.
-    """
-    xs = [p[0] for p in path.points]
-    ys = [p[1] for p in path.points]
-    simple_set = set(simple or [])
-    visited = set(path.points)
-    lines = []
-    for y in range(max(ys), min(ys) - 1, -1):
-        row = []
-        for x in range(min(xs), max(xs) + 1):
-            if (x, y) in simple_set:
-                row.append("*")
-            elif (x, y) == (0, 0):
-                row.append("S")
-            elif (x, y) in visited:
-                row.append("o")
-            else:
-                row.append(".")
-        lines.append(" ".join(row))
-    return "\n".join(lines)

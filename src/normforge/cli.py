@@ -89,24 +89,29 @@ def _frac(x: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _fmt_frac(x: Fraction) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _fmt_num(x) -> str:
+    """An integer, a Fraction, or a [numerator, denominator] pair as text."""
+    return str(Fraction(*x) if isinstance(x, list) else x)
 
 
 def _fmt_point(p) -> str:
-    return "(" + ", ".join(_fmt_frac(x) for x in p) + ")"
+    return "(" + ", ".join(_fmt_num(x) for x in p) + ")"
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> None:
+def _emit(args, payload: dict, render) -> None:
+    """Print the payload as JSON, or the text lines ``render(payload, args)`` makes of it."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(render(payload, args)))
 
 
 # --------------------------------------------------------------------------
 # Commands
+#
+# Each command computes its results once into a JSON-ready payload; the
+# text report is rendered from that payload by the formatter beside it,
+# which reads the parsed options but computes nothing.
 # --------------------------------------------------------------------------
 
 
@@ -121,26 +126,30 @@ def cmd_alexander(args) -> int:
     var_names = names if data.abelianization.rank == len(names) else tuple(
         f"y{i}" for i in range(data.abelianization.rank)
     )
-    text = poly_to_text(data.polynomial, var_names)
-    lines = [text, f"# variables: {' '.join(var_names) if var_names else '(none: b_1 = 0)'}", f"# normalization: {_NORMALIZATION_NOTE}"]
-    status = 0
-    if data.degenerate:
-        lines.append("# degenerate: every generator of the first elementary ideal vanishes")
-        status = FLAG_EXIT
-    if data.rank_zero:
-        lines.append("# rank 0: the free abelianized quotient is trivial; value is an integer gcd")
-        status = FLAG_EXIT
     payload = {
         "command": "alexander",
-        "delta": text,
+        "delta": poly_to_text(data.polynomial, var_names),
         "variables": list(var_names),
         "rank": data.abelianization.rank,
         "torsion": list(data.abelianization.torsion),
         "degenerate": data.degenerate,
         "conventions": {"normalization": _NORMALIZATION_NOTE},
     }
-    _emit(args, lines, payload)
-    return status
+    _emit(args, payload, _alexander_text)
+    return FLAG_EXIT if data.degenerate or data.rank_zero else 0
+
+
+def _alexander_text(p, args) -> list[str]:
+    lines = [
+        p["delta"],
+        f"# variables: {' '.join(p['variables']) or '(none: b_1 = 0)'}",
+        f"# normalization: {p['conventions']['normalization']}",
+    ]
+    if p["degenerate"]:
+        lines.append("# degenerate: every generator of the first elementary ideal vanishes")
+    if p["rank"] == 0:
+        lines.append("# rank 0: the free abelianized quotient is trivial; value is an integer gcd")
+    return lines
 
 
 def cmd_norm(args) -> int:
@@ -156,14 +165,12 @@ def cmd_norm(args) -> int:
         raise ParseError(
             1, f"class has {len(phi)} entries, expected {data.polynomial.nvars}"
         )
-    value = alexander_norm(data.polynomial, phi)
-    lines = [_fmt_frac(value)]
     payload = {
         "command": "norm",
         "phi": [_frac(x) for x in phi],
-        "norm": _frac(value),
+        "norm": _frac(alexander_norm(data.polynomial, phi)),
     }
-    _emit(args, lines, payload)
+    _emit(args, payload, lambda p, _args: [_fmt_num(p["norm"])])
     return 0
 
 
@@ -177,19 +184,6 @@ def cmd_norm_ball(args) -> int:
     if center is None:
         raise CommandFlag("Newton polytope is not balanced; no dual ball")
     ball = dual_ball(poly)
-    lines = [
-        "newton vertices: " + " ".join(_fmt_point(v) for v in poly.hull),
-        "coefficients: " + " ".join(str(c) for c in poly.hull_coefficients()),
-        "center: " + _fmt_point(center),
-    ]
-    if ball.vertices is not None:
-        lines.append("dual vertices: " + " ".join(_fmt_point(v) for v in ball.vertices))
-    else:
-        lines.append("dual vertices: (not explicit in this rank; faces below)")
-    for f in ball.faces:
-        lines.append(
-            f"face of vertex {_fmt_point(f.vertex)}: phi . {_fmt_point(f.normal)} = 1/2"
-        )
     payload = {
         "command": "norm-ball",
         "vertices": [list(v) for v in poly.hull],
@@ -198,12 +192,37 @@ def cmd_norm_ball(args) -> int:
         "dual_vertices": None
         if ball.vertices is None
         else [[_frac(x) for x in v] for v in ball.vertices],
+        "faces": [
+            {"vertex": list(f.vertex), "normal": [_frac(x) for x in f.normal]}
+            for f in ball.faces
+        ],
     }
-    _emit(args, lines, payload)
+    _emit(args, payload, _norm_ball_text)
     return 0
 
 
-def _sigma_payload(sigma, arcs):
+def _norm_ball_text(p, args) -> list[str]:
+    dual = p["dual_vertices"]
+    lines = [
+        "newton vertices: " + " ".join(_fmt_point(v) for v in p["vertices"]),
+        "coefficients: " + " ".join(str(c) for c in p["coefficients"]),
+        "center: " + _fmt_point(p["center"]),
+        "dual vertices: "
+        + (
+            "(not explicit in this rank; faces below)"
+            if dual is None
+            else " ".join(_fmt_point(v) for v in dual)
+        ),
+    ]
+    for f in p["faces"]:
+        lines.append(
+            f"face of vertex {_fmt_point(f['vertex'])}: phi . {_fmt_point(f['normal'])} = 1/2"
+        )
+    return lines
+
+
+def _sigma_payload(sigma) -> dict:
+    arcs = rank2_arcs(sigma)
     components = []
     for cone, arc in zip(sigma.components, arcs.arcs):
         entry = {
@@ -226,24 +245,25 @@ def _sigma_payload(sigma, arcs):
     }
 
 
-def _sigma_lines(sigma, arcs) -> list[str]:
-    lines = [f"components: {len(sigma.components)}"]
-    for cone, arc in zip(sigma.components, arcs.arcs):
+def _sigma_text(p, args) -> list[str]:
+    lines = [f"components: {len(p['components'])}"]
+    for c in p["components"]:
+        arc = c["arc"]
         if arc is None:
             pic = "EMPTY"
-        elif arc.full_circle:
+        elif "full_circle" in arc:
             pic = "full circle"
         else:
-            pic = f"open arc {_fmt_point(arc.start)} .. {_fmt_point(arc.end)}"
-        cons = " ".join(_fmt_point(d) for d in cone.constraints)
-        lines.append(f"component {_fmt_point(cone.label)}: {pic}; constraints: {cons}")
-    if sigma.excluded_vertices:
+            pic = f"open arc {_fmt_point(arc['from'])} .. {_fmt_point(arc['to'])}"
+        cons = " ".join(_fmt_point(d) for d in c["constraints"])
+        lines.append(f"component {_fmt_point(c['label'])}: {pic}; constraints: {cons}")
+    if p["excluded"]:
         lines.append(
             "excluded vertices (coefficient not ±1): "
-            + " ".join(_fmt_point(v) for v in sigma.excluded_vertices)
+            + " ".join(_fmt_point(v) for v in p["excluded"])
         )
-    if arcs.complement_finite:
-        pts = " ".join(_fmt_point(d) for d in arcs.complement_points) or "(empty)"
+    if p["complement_is_finite"]:
+        pts = " ".join(_fmt_point(d) for d in p["complement_points"]) or "(empty)"
         lines.append(f"complement: {pts}")
     else:
         lines.append("complement: infinite (the union of components does not fill the circle)")
@@ -258,9 +278,7 @@ def cmd_sigma_a(args) -> int:
         raise CommandFlag(str(exc)) from None
     if sigma.rank != 2:
         raise CommandFlag(f"arc output needs rank 2, got rank {sigma.rank}")
-    arcs = rank2_arcs(sigma)
-    payload = {"command": "sigma-a"} | _sigma_payload(sigma, arcs)
-    _emit(args, _sigma_lines(sigma, arcs), payload)
+    _emit(args, {"command": "sigma-a"} | _sigma_payload(sigma), _sigma_text)
     return 0
 
 
@@ -273,87 +291,67 @@ def cmd_sigma_brown(args) -> int:
     relator = pf.presentation.relators[0].cyclically_reduced()
     path = trace_relator(relator)
     marked = simple_vertices(path)
-    arcs = rank2_arcs(sigma)
-    lines = [
-        f"path: {len(path.points)} points, closed",
-        "hull: " + " ".join(_fmt_point(v) for v in (v for v, _ in marked)),
-        "simple vertices: " + " ".join(_fmt_point(v) for v, m in marked if m == 1),
-    ]
-    lines += _sigma_lines(sigma, arcs)
-    lines.append("# components per the simple-vertex criterion for closed relator paths")
     payload = {
         "command": "sigma-brown",
         "path": [list(p) for p in path.points],
         "hull": [list(v) for v, _ in marked],
         "simple": [list(v) for v, m in marked if m == 1],
         "criterion": "simple-vertex criterion for closed relator paths",
-    } | _sigma_payload(sigma, arcs)
-    _emit(args, lines, payload)
+    } | _sigma_payload(sigma)
+    _emit(args, payload, _sigma_brown_text)
     return 0
+
+
+def _sigma_brown_text(p, args) -> list[str]:
+    return [
+        f"path: {len(p['path'])} points, closed",
+        "hull: " + " ".join(_fmt_point(v) for v in p["hull"]),
+        "simple vertices: " + " ".join(_fmt_point(v) for v in p["simple"]),
+        *_sigma_text(p, args),
+        f"# components per the {p['criterion']}",
+    ]
 
 
 def cmd_burau(args) -> int:
     braid = parse_braid(_read_input(args.input))
     m = burau(braid)
-    det = m.det()
-    rows = [[poly_to_text(e, ("t",)) for e in row] for row in m.entries]
-    lines = [f"strands: {braid.strands}", f"dimension: {m.dim}"]
-    width = max((len(s) for row in rows for s in row), default=1)
-    for row in rows:
-        lines.append("[ " + "  ".join(s.ljust(width) for s in row) + " ]")
-    lines.append(f"determinant: {poly_to_text(det, ('t',))}")
-    perm = permutation(braid)
-    lines.append(
-        "permutation: "
-        + " ".join(f"{i + 1}->{p + 1}" for i, p in enumerate(perm))
-        + ("  (n-cycle)" if is_n_cycle(braid) else "")
-    )
     payload = {
         "command": "burau",
         "strands": braid.strands,
-        "matrix": rows,
+        "matrix": [[poly_to_text(e, ("t",)) for e in row] for row in m.entries],
         "variable": "t",
-        "determinant": poly_to_text(det, ("t",)),
-        "permutation": [p + 1 for p in perm],
+        "determinant": poly_to_text(m.det(), ("t",)),
+        "permutation": [p + 1 for p in permutation(braid)],
         "n_cycle": is_n_cycle(braid),
     }
-    _emit(args, lines, payload)
+    _emit(args, payload, _burau_text)
     return 0
+
+
+def _burau_text(p, args) -> list[str]:
+    rows = p["matrix"]
+    width = max((len(s) for row in rows for s in row), default=1)
+    return [
+        f"strands: {p['strands']}",
+        f"dimension: {len(rows)}",
+        *("[ " + "  ".join(s.ljust(width) for s in row) + " ]" for row in rows),
+        f"determinant: {p['determinant']}",
+        "permutation: "
+        + " ".join(f"{i}->{q}" for i, q in enumerate(p["permutation"], 1))
+        + ("  (n-cycle)" if p["n_cycle"] else ""),
+    ]
 
 
 def cmd_mapping_torus(args) -> int:
     braid = parse_braid(_read_input(args.input))
     result = mapping_torus_delta(braid, t_substitution=args.substitution)
     names = ("t", "w")
-    text = poly_to_text(normalize_unit(result.poly), names)
-    lines = [
-        text,
-        "# variables: t w  (t: puncture loop class t'; w: suspension class)",
-        f"# substitution: {result.substitution}",
-        f"# normalization: {_NORMALIZATION_NOTE}",
-    ]
-    status = 0
-    if not result.n_cycle:
-        lines.append(
-            "# flag: braid is not an n-cycle; the determinant formula is stated for n-cycle braids"
-        )
-        status = FLAG_EXIT
     cross = None
-    if args.cross_check:
-        if result.n_cycle:
-            fox = mapping_torus_delta_fox(braid)
-            cross = equal_up_to_unit(fox, result.poly)
-            lines.append(
-                "# fox cross-check: "
-                + ("match up to unit" if cross else "MISMATCH")
-            )
-            if not cross:
-                status = FLAG_EXIT
-        else:
-            lines.append("# fox cross-check: skipped (needs an n-cycle braid)")
+    if args.cross_check and result.n_cycle:
+        cross = equal_up_to_unit(mapping_torus_delta_fox(braid), result.poly)
     payload = {
         "command": "mapping-torus",
-        "delta": text,
+        "delta": poly_to_text(normalize_unit(result.poly), names),
         "variables": list(names),
         "substitution": result.substitution,
         "n_cycle": result.n_cycle,
@@ -362,13 +360,35 @@ def cmd_mapping_torus(args) -> int:
     }
     if args.presentation:
         pres = mapping_torus_presentation(braid)
-        pres_lines = ["gens: " + " ".join(g.name for g in pres.alphabet)]
-        pres_lines += [f"rel: {r}" for r in pres.relators]
+        payload["presentation"] = ["gens: " + " ".join(g.name for g in pres.alphabet)] + [
+            f"rel: {r}" for r in pres.relators
+        ]
+    _emit(args, payload, _mapping_torus_text)
+    return FLAG_EXIT if not result.n_cycle or cross is False else 0
+
+
+def _mapping_torus_text(p, args) -> list[str]:
+    lines = [
+        p["delta"],
+        f"# variables: {' '.join(p['variables'])}  (t: puncture loop class t'; w: suspension class)",
+        f"# substitution: {p['substitution']}",
+        f"# normalization: {p['conventions']['normalization']}",
+    ]
+    if not p["n_cycle"]:
+        lines.append(
+            "# flag: braid is not an n-cycle; the determinant formula is stated for n-cycle braids"
+        )
+    if args.cross_check:
+        verdict = {
+            True: "match up to unit",
+            False: "MISMATCH",
+            None: "skipped (needs an n-cycle braid)",
+        }[p["fox_cross_check"]]
+        lines.append("# fox cross-check: " + verdict)
+    if "presentation" in p:
         lines.append("# mapping-torus presentation:")
-        lines += pres_lines
-        payload["presentation"] = pres_lines
-    _emit(args, lines, payload)
-    return status
+        lines += p["presentation"]
+    return lines
 
 
 def cmd_compare_question_b(args) -> int:
@@ -379,39 +399,6 @@ def cmd_compare_question_b(args) -> int:
     except (UnsupportedPresentation, ValueError) as exc:
         raise CommandFlag(str(exc)) from None
     reports = compare_sigma(inner, outer)
-    lines = [
-        f"Σ components: {len(inner.components)}",
-        f"Σ_A components: {len(outer.components)}",
-    ]
-    rows = []
-    for rep in reports:
-        detail = {
-            "equal": "EQUAL to",
-            "properly_contained": "PROPERLY CONTAINED in",
-            "not_contained": "NOT CONTAINED in any",
-            "empty": "EMPTY; no",
-        }[rep.relation]
-        target = (
-            f"Σ_A component {_fmt_point(rep.outer_label)}"
-            if rep.outer_label is not None
-            else "Σ_A component"
-        )
-        witness = (
-            f"; witness direction {_fmt_point(rep.witness)}" if rep.witness else ""
-        )
-        cert = "" if rep.certified else "  [non-certified]"
-        lines.append(
-            f"component {_fmt_point(rep.inner_label)}: {detail} {target}{witness}{cert}"
-        )
-        rows.append(
-            {
-                "inner_label": list(rep.inner_label),
-                "relation": rep.relation,
-                "outer_label": None if rep.outer_label is None else list(rep.outer_label),
-                "witness": None if rep.witness is None else list(rep.witness),
-                "certified": rep.certified,
-            }
-        )
     relations = {rep.relation for rep in reports}
     if reports and relations == {"properly_contained"}:
         answer = "no"
@@ -420,36 +407,66 @@ def cmd_compare_question_b(args) -> int:
             + ("both" if len(reports) == 2 else "all")
             + " PROPERLY CONTAINED in Σ_A; Question B answer: NO for this manifold"
         )
-        status = 0
     elif reports and relations == {"equal"}:
         answer = "yes"
         summary = (
             f"{len(reports)} Σ components; all EQUAL to their Σ_A components;"
             " Question B answer: YES for this manifold"
         )
-        status = 0
     else:
         answer = "undetermined"
         summary = "containment pattern is mixed or undetermined; see component lines"
-        status = FLAG_EXIT
-    lines.append(summary)
     payload = {
         "command": "compare-question-b",
         "sigma_components": len(inner.components),
         "sigma_a_components": len(outer.components),
-        "comparisons": rows,
+        "comparisons": [
+            {
+                "inner_label": list(rep.inner_label),
+                "relation": rep.relation,
+                "outer_label": None if rep.outer_label is None else list(rep.outer_label),
+                "witness": None if rep.witness is None else list(rep.witness),
+                "certified": rep.certified,
+            }
+            for rep in reports
+        ],
         "question_b": answer,
         "summary": summary,
     }
-    _emit(args, lines, payload)
-    return status
+    _emit(args, payload, _compare_text)
+    return FLAG_EXIT if answer == "undetermined" else 0
+
+
+_RELATION_TEXT = {
+    "equal": "EQUAL to",
+    "properly_contained": "PROPERLY CONTAINED in",
+    "not_contained": "NOT CONTAINED in any",
+    "empty": "EMPTY; no",
+}
+
+
+def _compare_text(p, args) -> list[str]:
+    lines = [
+        f"Σ components: {p['sigma_components']}",
+        f"Σ_A components: {p['sigma_a_components']}",
+    ]
+    for c in p["comparisons"]:
+        target = "Σ_A component"
+        if c["outer_label"] is not None:
+            target += " " + _fmt_point(c["outer_label"])
+        witness = f"; witness direction {_fmt_point(c['witness'])}" if c["witness"] else ""
+        cert = "" if c["certified"] else "  [non-certified]"
+        lines.append(
+            f"component {_fmt_point(c['inner_label'])}: {_RELATION_TEXT[c['relation']]} "
+            f"{target}{witness}{cert}"
+        )
+    lines.append(p["summary"])
+    return lines
 
 
 def cmd_check(args) -> int:
-    pf = _load_pres(args)
-    pres = pf.presentation
-    reports: list[CheckReport] = [check_fundamental_identity(pres), check_e1_structure(pres)]
-    data = alexander_data(pres)
+    data = alexander_data(_load_pres(args).presentation)
+    reports: list[CheckReport] = [check_fundamental_identity(data), check_e1_structure(data)]
     if data.degenerate:
         reports.append(CheckReport("symmetry", "unsupported", ("degenerate polynomial",)))
         reports.append(CheckReport("newton_balance", "unsupported", ("degenerate polynomial",)))
@@ -477,14 +494,17 @@ def cmd_check(args) -> int:
                     else ("the antipodal map does not permute the hull vertices",),
                 )
             )
-    lines = []
-    for rep in reports:
-        lines.append(f"{rep.check}: {rep.status}")
-        for w in rep.witnesses:
-            lines.append(f"  {w}")
     payload = {"command": "check", "checks": [rep.as_dict() for rep in reports]}
-    _emit(args, lines, payload)
+    _emit(args, payload, _check_text)
     return FLAG_EXIT if any(rep.status == "fail" for rep in reports) else 0
+
+
+def _check_text(p, args) -> list[str]:
+    lines = []
+    for c in p["checks"]:
+        lines.append(f"{c['check']}: {c['status']}")
+        lines += [f"  {w}" for w in c["witnesses"]]
+    return lines
 
 
 def cmd_examples(args) -> int:

@@ -26,6 +26,7 @@ throughout, so intermediate growth in the remainder sequence is safe.
 from __future__ import annotations
 
 from math import gcd as _igcd
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -192,16 +193,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, _dict_mul(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -381,7 +373,7 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
     out: Terms = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s

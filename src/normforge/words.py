@@ -156,16 +156,6 @@ def _format_power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def multiply(u: Word, v: Word) -> Word:
-    """Freely reduced concatenation of two words over the same alphabet."""
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    """Inverse word: reversed letters with flipped signs."""
-    return w.inverse()
-
-
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse whitespace-separated tokens ``g``, ``g^-1``, ``g^k`` into a word.
 
@@ -359,11 +349,6 @@ class AbelianizationMap:
     def generator_image(self, index: int) -> tuple[int, ...]:
         """Image of a single generator in Z^rank (a column of the matrix)."""
         return tuple(row[index] for row in self.matrix)
-
-
-def abelianize_word(w: Word, m: AbelianizationMap) -> tuple[int, ...]:
-    """Image of w in Z^rank; additive over word multiplication."""
-    return m.image(w)
 
 
 def free_abelianization(p: Presentation) -> AbelianizationMap:

@@ -204,7 +204,7 @@ def test_criterion_7_property_suites():
             rhs = fox_derivative(u, gen, free_ab) + u_bar * fox_derivative(v, gen, free_ab)
             assert lhs == rhs
         if not u.is_identity():
-            report = check_fundamental_identity(Presentation(AB, (u,)))
+            report = check_fundamental_identity(alexander_data(Presentation(AB, (u,))))
             assert report.status == "pass"
 
     # (b) Gcd divides both inputs and is multiplicative: 500 random pairs.

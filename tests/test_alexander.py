@@ -101,7 +101,7 @@ class TestAlexanderMatrix:
         for _ in range(40):
             rels = tuple(random_word(rng, alphabet) for _ in range(rng.randint(1, 3)))
             pres = Presentation(alphabet, rels)
-            report = check_fundamental_identity(pres)
+            report = check_fundamental_identity(alexander_data(pres))
             assert report.status == "pass"
 
 
@@ -219,22 +219,22 @@ class TestSymmetry:
 
 class TestE1Structure:
     def test_section6_passes(self, section6):
-        report = check_e1_structure(section6.presentation)
+        report = check_e1_structure(alexander_data(section6.presentation))
         assert report.status == "pass"
         assert any("delta" in w for w in report.witnesses)
 
     def test_commutator_passes_with_unit_delta(self):
-        report = check_e1_structure(presentation("a b", ["a b a^-1 b^-1"]))
+        report = check_e1_structure(alexander_data(presentation("a b", ["a b a^-1 b^-1"])))
         assert report.status == "pass"
         assert any("delta = 1" in w for w in report.witnesses)
 
     def test_unsupported_shapes(self):
-        assert check_e1_structure(presentation("a b c", ["a b a^-1 b^-1"])).status == "unsupported"
-        assert check_e1_structure(presentation("a b", ["a b", "b a"])).status == "unsupported"
+        assert check_e1_structure(alexander_data(presentation("a b c", ["a b a^-1 b^-1"]))).status == "unsupported"
+        assert check_e1_structure(alexander_data(presentation("a b", ["a b", "b a"]))).status == "unsupported"
         # 2 generators, 1 relator, but b_1 = 1 rather than 2.
-        assert check_e1_structure(presentation("a b", ["a b"])).status == "unsupported"
+        assert check_e1_structure(alexander_data(presentation("a b", ["a b"]))).status == "unsupported"
 
     def test_report_shape(self, section6):
-        report = check_e1_structure(section6.presentation)
+        report = check_e1_structure(alexander_data(section6.presentation))
         d = report.as_dict()
         assert set(d) == {"check", "status", "witnesses"}

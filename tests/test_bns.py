@@ -14,7 +14,6 @@ from normforge.bns import (
     rank2_arcs,
     sigma_alexander,
     sigma_principal,
-    sphere_class,
 )
 from normforge.laurent import LaurentPoly, invert_variables
 from normforge.polytope import dual_ball, newton_polytope
@@ -43,7 +42,7 @@ class TestPrimitives:
             primitive((0, 0))
 
     def test_sphere_class(self):
-        assert sphere_class((2, 2)).direction == (1, 1)
+        assert primitive((2, 2)) == (1, 1)
 
 
 class TestSigmaPrincipal:
@@ -135,7 +134,7 @@ class TestConeContains:
         cone = next(c for c in sigma.components if c.label == (2, 1))
         # (1,0) . d > 0 for d in {(2,1), (1,1), (1,0)}.
         assert cone_contains(cone, (1, 0))
-        assert cone_contains(cone, sphere_class((2, 1)))
+        assert cone_contains(cone, (2, 1))
 
     def test_boundary_is_excluded(self, delta_golden):
         sigma = sigma_principal(delta_golden)

@@ -6,7 +6,6 @@ from normforge.bns import compare_sigma, cone_contains, rank2_arcs, sigma_alexan
 from normforge.brown import (
     UnsupportedPresentation,
     brown_sigma,
-    render_path,
     simple_vertices,
     trace_relator,
 )
@@ -168,15 +167,3 @@ class TestBrownSigma:
     def test_unsupported_shapes(self, gens, rels, fragment):
         with pytest.raises(UnsupportedPresentation, match=fragment):
             brown_sigma(presentation(gens, rels))
-
-
-class TestRendering:
-    def test_grid_marks(self, section6):
-        path = trace_relator(section6.presentation.relators[0])
-        marked = simple_vertices(path)
-        picture = render_path(path, [v for v, m in marked if m == 1])
-        assert picture.count("*") == 2
-        assert "S" in picture
-        rows = picture.splitlines()
-        assert len(rows) == 5  # y from 3 down to -1
-        assert all(len(r) == len(rows[0]) for r in rows)

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from normforge import alexander
 from normforge.cli import bundled_examples, main
 
 
@@ -9,6 +11,22 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Record every call of func, under each name a normforge module binds it to."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "normforge":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
 
 
 class TestBundledExamples:
@@ -204,6 +222,19 @@ class TestCheckCommand:
             "symmetry": "pass",
             "newton_balance": "pass",
         }
+
+    def test_computes_alexander_data_once(self, capsys, monkeypatch):
+        data_calls = count_calls(monkeypatch, alexander.alexander_data)
+        matrix_calls = count_calls(monkeypatch, alexander.alexander_matrix)
+        residue_calls = count_calls(monkeypatch, alexander._fox_residues)
+        status, out, _ = run(capsys, "check", "@section6.pres")
+        assert status == 0
+        assert "relator 0: sum_j (dr/dx_j)(x_j - 1) = 0" in out
+        assert len(data_calls) == 1
+        assert len(matrix_calls) == 1
+        # One routine evaluates the identity: once when the matrix is
+        # built, once for the reported check.
+        assert len(residue_calls) == 2
 
     def test_three_generator_unsupported_still_ok(self, capsys, tmp_path):
         path = tmp_path / "three.pres"
