@@ -203,16 +203,17 @@ def cmd_norm_ball(args) -> int:
 
 def _norm_ball_text(p, args) -> list[str]:
     dual = p["dual_vertices"]
+    if not p["faces"]:
+        dual_text = "none; the norm is identically 0, so the dual ball is the whole space and has no faces"
+    elif dual is None:
+        dual_text = "(not explicit in this rank; faces below)"
+    else:
+        dual_text = " ".join(_fmt_point(v) for v in dual)
     lines = [
         "newton vertices: " + " ".join(_fmt_point(v) for v in p["vertices"]),
         "coefficients: " + " ".join(str(c) for c in p["coefficients"]),
         "center: " + _fmt_point(p["center"]),
-        "dual vertices: "
-        + (
-            "(not explicit in this rank; faces below)"
-            if dual is None
-            else " ".join(_fmt_point(v) for v in dual)
-        ),
+        "dual vertices: " + dual_text,
     ]
     for f in p["faces"]:
         lines.append(

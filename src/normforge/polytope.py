@@ -281,11 +281,15 @@ def dual_ball(poly: LatticePolytope) -> NormBall:
 
     Faces correspond one-to-one with hull vertices.  Explicit vertex
     geometry is produced in rank <= 2 (full-dimensional hulls only);
-    otherwise the functional description alone is returned.
+    otherwise the functional description alone is returned.  A one-point
+    hull has the norm identically 0, so its dual ball is the whole space:
+    no faces and no vertices.
     """
     z0 = balance_center(poly)
     if z0 is None:
         raise ValueError("polytope is not balanced; the dual ball needs a center")
+    if len(poly.hull) == 1:
+        return NormBall(z0, (), None)
     half = Fraction(1, 2)
     normals = {v: tuple(v[i] - z0[i] for i in range(poly.dim)) for v in poly.hull}
 

@@ -135,9 +135,10 @@ def test_criterion_5_symmetry_and_balance(section6):
 
 def enumerate_ncycle_braids():
     """Fixed enumerated oracle set: every n-cycle word with n=2 length<=5,
-    n=3 length<=4, n=4 length<=3 (all lengths <= 6), in lexicographic order."""
+    n=3 length<=4, n=4 length<=3, n=5 length<=4 (all lengths <= 6), in
+    lexicographic order."""
     out = []
-    for n, max_len in ((2, 5), (3, 4), (4, 3)):
+    for n, max_len in ((2, 5), (3, 4), (4, 3), (5, 4)):
         gens = [(i, s) for i in range(1, n) for s in (1, -1)]
         for length in range(1, max_len + 1):
             for combo in itertools.product(gens, repeat=length):

@@ -285,22 +285,51 @@ class TestPolyMatrixDet:
         assert det == A * B
 
     def test_three_by_three_against_expansion(self):
-        rng = random.Random(13)
-        for _ in range(15):
-            m = [[random_poly(rng, max_terms=2, span=1) for _ in range(3)] for _ in range(3)]
-            det = poly_matrix_det(m)
-            # Leibniz oracle over all six permutations.
-            from itertools import permutations
+        # Leibniz oracle over all k! permutations, independent of the
+        # memoised expansion, for sizes 1..6, sparse and dense entries,
+        # 0..3 variables, and singular matrices.
+        from itertools import permutations
 
-            total = LaurentPoly.zero(2)
-            for perm in permutations(range(3)):
+        def leibniz(m, nvars):
+            k = len(m)
+            total = LaurentPoly.zero(nvars)
+            for perm in permutations(range(k)):
                 sign = 1
-                for i in range(3):
-                    for j in range(i + 1, 3):
+                for i in range(k):
+                    for j in range(i + 1, k):
                         if perm[i] > perm[j]:
                             sign = -sign
-                term = LaurentPoly.constant(2, sign)
-                for i in range(3):
+                term = LaurentPoly.constant(nvars, sign)
+                for i in range(k):
                     term = term * m[i][perm[i]]
                 total = total + term
-            assert det == total
+            return total
+
+        rng = random.Random(13)
+        for k in range(1, 7):
+            for nvars in range(4):
+                zero = LaurentPoly.zero(nvars)
+                for zero_share in (0.0, 0.6):
+                    m = [
+                        [
+                            zero
+                            if rng.random() < zero_share
+                            else random_nonzero(rng, nvars=nvars, max_terms=2, span=1)
+                            for _ in range(k)
+                        ]
+                        for _ in range(k)
+                    ]
+                    cases = [(m, False)]
+                    if k >= 2:
+                        repeated_row = m[:-1] + [m[0]]
+                        zero_column = [r[:1] + [zero] + r[2:] for r in m]
+                        cases += [(repeated_row, True), (zero_column, True)]
+                    for case, singular in cases:
+                        expected = leibniz(case, nvars)
+                        if singular:
+                            assert expected.is_zero()
+                        assert poly_matrix_det(case) == expected
+
+    def test_empty_row_is_not_square(self):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            poly_matrix_det([[]])

@@ -229,6 +229,15 @@ class TestDualBall:
             (Fraction(0), Fraction(-1, 2)),
         }
 
+    def test_one_point_hull_has_no_faces(self):
+        # A unit Delta: the norm is identically 0, so the dual ball is the
+        # whole space and no face (with its zero normal) may be reported.
+        for point in ((0, 0), (2, -1), (0, 0, 0)):
+            ball = dual_ball(lattice_polytope([point], [1]))
+            assert ball.center == point
+            assert ball.faces == ()
+            assert ball.vertices is None
+
     def test_unbalanced_raises(self):
         poly = lattice_polytope([(0, 0), (1, 0), (0, 1)], [1, 1, 1])
         with pytest.raises(ValueError, match="not balanced"):
