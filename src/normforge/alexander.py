@@ -15,18 +15,29 @@ conventions: minors larger than the matrix generate the zero ideal, and
 the empty 0 x 0 minor is 1, so E_s = (1).  The Alexander polynomial is
 the gcd of the generators of E_1, normalized as in :mod:`.laurent` and
 therefore well defined only up to a unit ±monomial.
+
+For a deficiency-one presentation (s generators, s-1 relators) with
+b_1 >= 2, E_1 = m * (Delta) with m the augmentation ideal (McMullen,
+Ann. Sci. ENS 2002, Thm 5.1), so Delta is one exact quotient
+D_j / (x^{v_j} - 1) of a maximal minor by a generator's binomial.  That
+quotient is used only with a certificate checked on every minor (see
+:func:`deficiency_one_quotient`); any other shape, or a failed
+certificate, takes the gcd of E_1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .laurent import (
     LaurentPoly,
+    divide_exact,
     equal_up_to_unit,
     gcd_many,
     invert_variables,
+    normalize_unit,
     poly_matrix_det,
     poly_to_text,
     unit_quotient,
@@ -173,7 +184,54 @@ class AlexanderData:
         return self.matrix.abelianization
 
 
+def deficiency_one_quotient(
+    mat: AlexanderMatrix, minors: Sequence[LaurentPoly]
+) -> LaurentPoly | None:
+    """Certified gcd of the E_1 minors of a deficiency-one matrix, or None.
+
+    ``minors`` are the maximal minors in :func:`elementary_ideal`'s order,
+    so ``minors[i]`` is D_j, the minor without column j = s-1-i.  With
+    f_j = x^{v_j} - 1 for the image v_j of generator j, Fox's identity
+    makes D_k * f_j and D_j * f_k agree up to sign.  For one j with
+    v_j != 0 and D_j != 0 (the fewest terms), Q = D_j / f_j must be exact,
+    every D_k must be a unit times Q * f_k (so D_k = 0 where v_k = 0), and
+    two images must be non-parallel.  Binomials along non-parallel
+    directions are coprime, so then gcd(D_0, ..., D_{s-1}) = Q.  Returns
+    the normalized Q, or None when any of these checks fails (including
+    every shape other than s generators, s-1 relators and b_1 >= 2).
+    """
+    s = mat.ncols
+    ab = mat.abelianization
+    if mat.nrows != s - 1 or len(minors) != s or ab.rank < 2:
+        return None
+    by_column = minors[::-1]
+    images = [ab.generator_image(j) for j in range(s)]
+    factors = [LaurentPoly.monomial(ab.rank, v) - 1 for v in images]
+    candidates = [j for j in range(s) if any(images[j]) and not by_column[j].is_zero()]
+    if not candidates:
+        return None
+    j = min(candidates, key=lambda c: len(by_column[c].terms))
+    q = divide_exact(by_column[j], factors[j])
+    if q is None:
+        return None
+    for k in range(s):
+        if k != j and unit_quotient(q * factors[k], by_column[k]) is None:
+            return None
+    base = images[j]
+    if not any(base[a] * v[b] != base[b] * v[a]
+               for v in images for a, b in combinations(range(ab.rank), 2)):
+        return None
+    return normalize_unit(q)
+
+
 def alexander_data(p: Presentation) -> AlexanderData:
+    """Alexander polynomial of ``p`` with its matrix and first elementary ideal.
+
+    Delta is the certified deficiency-one quotient D_j / (x^{v_j} - 1) of
+    :func:`deficiency_one_quotient` when ``p`` has one relator fewer than
+    generators and b_1 >= 2; otherwise, or when the certificate fails, it
+    is the gcd of the nonzero E_1 generators.
+    """
     mat = alexander_matrix(p)
     e1 = elementary_ideal(mat, 1)
     nonzero = [g for g in e1.generators if not g.is_zero()]
@@ -182,13 +240,19 @@ def alexander_data(p: Presentation) -> AlexanderData:
         return AlexanderData(
             LaurentPoly.zero(mat.abelianization.rank), mat, e1, True, rank_zero
         )
-    return AlexanderData(gcd_many(nonzero), mat, e1, False, rank_zero)
+    delta = deficiency_one_quotient(mat, e1.generators)
+    if delta is None:
+        delta = gcd_many(nonzero)
+    return AlexanderData(delta, mat, e1, False, rank_zero)
 
 
 def alexander_polynomial(p: Presentation) -> LaurentPoly:
-    """Gcd of the first elementary ideal, unit-normalized.
+    """Alexander polynomial, unit-normalized.
 
-    Returns the zero polynomial when every E_1 generator vanishes (use
+    The certified deficiency-one quotient when b_1 >= 2 and there is one
+    relator fewer than generators, otherwise the gcd of the first
+    elementary ideal (see :func:`alexander_data`).  Returns the zero
+    polynomial when every E_1 generator vanishes (use
     :func:`alexander_data` to see that flag, and the rank-0 flag for
     presentations whose free abelianized quotient is trivial).
     """

@@ -25,6 +25,7 @@ throughout, so intermediate growth in the remainder sequence is safe.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from operator import add
 from typing import Mapping, Sequence
@@ -290,27 +291,36 @@ def _dict_div_exact(num: Terms, den: Terms) -> Terms | None:
     # Long division by a single divisor in Z[x_1..x_n] with lex order.
     # In an integral domain the leading term of a product is the product
     # of leading terms, so if den divides num exactly this always succeeds.
+    # The remainder's exponents sit in a max-heap (negated keys); an entry
+    # whose term has since cancelled is stale and skipped when popped.
     d_exp = max(den)
     d_coeff = den[d_exp]
     rem = dict(num)
+    heap = [tuple(-x for x in e) for e in rem]
+    heapify(heap)
     quo: Terms = {}
     while rem:
-        r_exp = max(rem)
+        r_exp = tuple(-x for x in heappop(heap))
+        c = rem.get(r_exp)
+        if c is None:
+            continue
         diff = tuple(a - b for a, b in zip(r_exp, d_exp))
         if any(x < 0 for x in diff):
             return None
-        c = rem[r_exp]
         if c % d_coeff:
             return None
         t = c // d_coeff
         quo[diff] = t
         for e, dc in den.items():
             ee = tuple(a + b for a, b in zip(e, diff))
-            s = rem.get(ee, 0) - t * dc
-            if s:
-                rem[ee] = s
+            prev = rem.get(ee)
+            if prev is None:
+                rem[ee] = -t * dc
+                heappush(heap, tuple(-x for x in ee))
+            elif prev != t * dc:
+                rem[ee] = prev - t * dc
             else:
-                rem.pop(ee, None)
+                del rem[ee]
     return quo
 
 

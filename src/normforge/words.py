@@ -156,12 +156,19 @@ def _format_power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
+# Longest word, in letters before free reduction, that parse_word expands.
+# ``a^k`` costs k letters, so without a limit a 12-byte token such as
+# ``a^999999999`` would exhaust memory before any other check ran.
+MAX_WORD_LETTERS = 1_000_000
+
+
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse whitespace-separated tokens ``g``, ``g^-1``, ``g^k`` into a word.
 
     The result is freely reduced.  ``1`` (or no tokens at all) is the
-    identity word.  Unknown generators, malformed or zero exponents, and
-    an empty alphabet are errors.
+    identity word.  Unknown generators, malformed or zero exponents, an
+    empty alphabet, and words longer than :data:`MAX_WORD_LETTERS`
+    letters before reduction are errors.
     """
     if not alphabet:
         raise ValueError("cannot parse a word over an empty alphabet")
@@ -184,6 +191,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 raise ValueError(f"zero exponent in token {pos + 1} ({token!r})")
         else:
             exp = 1
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"word longer than {MAX_WORD_LETTERS} letters at token {pos + 1} ({token!r})"
+            )
         sign = 1 if exp > 0 else -1
         letters.extend([(index[name], sign)] * abs(exp))
     return Word(alphabet, letters)

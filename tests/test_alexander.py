@@ -1,30 +1,40 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from normforge import alexander
 from normforge.alexander import (
+    AlexanderMatrix,
     alexander_data,
     alexander_matrix,
     alexander_polynomial,
     check_e1_structure,
     check_fundamental_identity,
     check_symmetry,
+    deficiency_one_quotient,
     elementary_ideal,
     fox_derivative,
 )
+from normforge.braid import gamma, mapping_torus_presentation
 from normforge.laurent import (
     LaurentPoly,
     divide_exact,
     equal_up_to_unit,
+    gcd_many,
 )
 from normforge.words import (
+    AbelianizationMap,
     Presentation,
     Word,
     free_abelianization,
+    load_presentation,
     make_alphabet,
     parse_word,
     presentation,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 AB = make_alphabet("a b")
 A = LaurentPoly.variable(2, 0)
@@ -192,6 +202,120 @@ class TestAlexanderPolynomial:
             else:
                 assert equal_up_to_unit(base, inv)
                 assert equal_up_to_unit(base, rot_delta)
+
+
+def golden_presentation(name):
+    return load_presentation(str(GOLDEN / name)).presentation
+
+
+def closed_relator(rng, length):
+    """A random reduced word in a, b with both exponent sums zero, so b_1 = 2."""
+    while True:
+        letters = [(rng.randrange(2), rng.choice([1, -1])) for _ in range(length)]
+        sums = [sum(sign for idx, sign in letters if idx == g) for g in range(2)]
+        for g in range(2):
+            letters += [(g, -1 if sums[g] > 0 else 1)] * abs(sums[g])
+        w = Word(AB, letters)
+        if not w.is_identity():
+            return w
+
+
+def certified_cases():
+    rng = random.Random(5)
+    cases = {name: golden_presentation(name) for name in ("link3.pres", "z2.pres")}
+    cases.update((f"gamma_{n}", mapping_torus_presentation(gamma(n))) for n in range(3, 7))
+    cases.update((f"relator_{i}", Presentation(AB, (closed_relator(rng, 40),))) for i in range(12))
+    cases.update((f"commutator_{k}", presentation("a b", [f"a^{k} b a^-{k} b^-1"]))
+                 for k in (1, 2, 5, 17, 60))
+    return cases
+
+
+CERTIFIED = certified_cases()
+
+
+def first_minors(pres):
+    mat = alexander_matrix(pres)
+    return mat, elementary_ideal(mat, 1).generators
+
+
+def record_gcd_calls(monkeypatch):
+    calls = []
+
+    def recording(polys):
+        calls.append(polys)
+        return gcd_many(polys)
+
+    monkeypatch.setattr(alexander, "gcd_many", recording)
+    return calls
+
+
+class TestDeficiencyOneQuotient:
+    """The certified quotient against the gcd route it replaces."""
+
+    @pytest.mark.parametrize("name", list(CERTIFIED))
+    def test_matches_gcd_route(self, name):
+        mat, minors = first_minors(CERTIFIED[name])
+        quotient = deficiency_one_quotient(mat, minors)
+        assert quotient is not None
+        reference = gcd_many([g for g in minors if not g.is_zero()])
+        assert quotient.terms == reference.terms
+        assert alexander_data(CERTIFIED[name]).polynomial.terms == reference.terms
+
+    @pytest.mark.parametrize("pres", [
+        pytest.param(presentation("a b", ["a b a b^-1 a^-1 b^-1"]), id="trefoil_b1_one"),
+        pytest.param(presentation("a b", ["a b a^-1 b^-1", "a^2 b a^-2 b^-1"]), id="two_relators"),
+        pytest.param(golden_presentation("rank0.pres"), id="rank0"),
+        pytest.param(golden_presentation("free2.pres"), id="free2_no_relator"),
+    ])
+    def test_other_shapes_take_the_gcd_route(self, pres, monkeypatch):
+        mat, minors = first_minors(pres)
+        assert deficiency_one_quotient(mat, minors) is None
+        # Also when handed just one minor per column, as if deficiency one.
+        assert deficiency_one_quotient(mat, minors[:mat.ncols]) is None
+        nonzero = [g for g in minors if not g.is_zero()]
+        calls = record_gcd_calls(monkeypatch)
+        data = alexander_data(pres)
+        if nonzero:
+            assert calls == [nonzero]
+            assert data.polynomial == gcd_many(nonzero)
+        else:
+            assert calls == [] and data.degenerate
+
+    def test_certified_route_skips_gcd(self, monkeypatch):
+        calls = record_gcd_calls(monkeypatch)
+        for pres in CERTIFIED.values():
+            alexander_data(pres)
+        assert calls == []
+
+    def test_parallel_images_have_no_certificate(self):
+        # A hand-made map sending a and b to the same class: D_1 = 1 - x and
+        # D_0 = x - 1 divide exactly and agree up to a unit, but their gcd
+        # is x - 1, not the quotient 1, because the binomials are parallel.
+        pres = presentation("a b", ["a b a^-1 b^-1"])
+        ab = AbelianizationMap(AB, 2, ((1, 1), (0, 0)), ())
+        rel = pres.relators[0]
+        mat = AlexanderMatrix(pres, ab, ((fox_derivative(rel, "a", ab), fox_derivative(rel, "b", ab)),))
+        minors = elementary_ideal(mat, 1).generators
+        assert gcd_many(minors) == LaurentPoly.variable(2, 0) - 1
+        assert deficiency_one_quotient(mat, minors) is None
+
+    @pytest.mark.parametrize("name", ["link3.pres", "gamma_4", "relator_0", "commutator_5"])
+    def test_doctored_minors_have_no_certificate(self, name):
+        mat, minors = first_minors(CERTIFIED[name])
+        assert deficiency_one_quotient(mat, minors) is not None
+        for i in range(len(minors)):
+            doubled = list(minors)
+            doubled[i] = 2 * doubled[i]
+            assert deficiency_one_quotient(mat, doubled) is None
+        swaps = 0
+        for i in range(len(minors)):
+            for j in range(i + 1, len(minors)):
+                if not equal_up_to_unit(minors[i], minors[j]):
+                    swapped = list(minors)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    assert deficiency_one_quotient(mat, swapped) is None
+                    swaps += 1
+        assert swaps > 0
 
 
 class TestSymmetry:

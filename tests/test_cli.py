@@ -260,6 +260,14 @@ class TestInputHandling:
         assert status == 2
         assert "line 2" in err
 
+    def test_word_length_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.pres"
+        path.write_text("gens: a b\nrel: a^999999999\n")
+        status, out, err = run(capsys, "alexander", str(path))
+        assert status == 2
+        assert out == ""
+        assert "line 2" in err and "'a^999999999'" in err
+
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "alexander", "does/not/exist.pres")
         assert status == 2

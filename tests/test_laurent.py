@@ -104,6 +104,43 @@ class TestDivideExact:
         assert divide_exact(A + 1, 2 * A + 2) is None
         assert divide_exact(2 * A + 2, A + 1) == LaurentPoly.constant(2, 2)
 
+    def test_division_oracle(self):
+        # Oracle: multiplication.  A multiple of d spans at least d's lex
+        # span (leading minus trailing exponent), because lead and trail
+        # of a product are the sums of the factors' leads and trails; so a
+        # nonzero r of smaller span is never a multiple of d, and neither
+        # is p*d + r.
+        def exact_terms(k, nvars):
+            terms = {}
+            while len(terms) < k:
+                e = tuple(rng.randint(-3, 3) for _ in range(nvars))
+                terms[e] = rng.choice([c for c in range(-4, 5) if c])
+            return LaurentPoly(nvars, terms)
+
+        def lex_span(f):
+            lead, trail = max(f.terms), min(f.terms)
+            return tuple(a - b for a, b in zip(lead, trail))
+
+        rng = random.Random(11)
+        refused = 0
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            d = exact_terms(rng.randint(1, 4), nvars)
+            p = exact_terms(rng.randint(1, 5), nvars)
+            assert divide_exact(p * d, d) == p
+            other = exact_terms(rng.randint(1, 5), nvars)
+            q = divide_exact(other, d)
+            if q is not None:
+                assert q * d == other
+            if len(d.terms) > 1:
+                lead = max((p * d).terms)
+                r = exact_terms(1, nvars)
+                if max(r.terms) < lead:
+                    assert lex_span(r) < lex_span(d)
+                    assert divide_exact(p * d + r, d) is None
+                    refused += 1
+        assert refused > 50
+
 
 class TestGcd:
     def test_monomial_case_against_integer_oracle(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from normforge.words import (
+    MAX_WORD_LETTERS,
     Generator,
     ParseError,
     Presentation,
@@ -63,6 +64,15 @@ class TestParsing:
     def test_bad_generator_name(self):
         with pytest.raises(ValueError, match="bad generator name"):
             Generator("2x")
+
+    def test_word_length_limit(self):
+        with pytest.raises(ValueError, match=r"token 1 \('a\^999999999'\)"):
+            parse_word("a^999999999", AB)
+        # The running length counts every token before free reduction.
+        half = MAX_WORD_LETTERS // 2
+        with pytest.raises(ValueError, match=rf"token 3 \('a\^-{half}'\)"):
+            parse_word(f"a^{half} b a^-{half}", AB)
+        assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
 
 
 # Independent oracle for the relator length: the sum of |exponent| over
