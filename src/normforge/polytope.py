@@ -5,12 +5,13 @@ derived quantity (centers, dual vertices, norms) is a ``Fraction``.  No
 floating point is used, so face and cone comparisons downstream are
 exact equalities.
 
-Convex hulls are computed by a monotone chain in dimension <= 2 and by
-a brute-force extremality test (exact linear programming) in higher
-dimension; workloads here are rank 2, so correctness beats generality.
-Lower-dimensional point sets are legal: extremality is decided within
-the affine hull automatically, since "v lies in the convex hull of the
-others" makes no reference to full-dimensionality.
+Convex hulls are computed by a monotone chain in dimension <= 2 and, in
+higher dimension, by Clarkson's output-sensitive extreme-point loop
+(FOCS 1994): one linear program per point against the vertices found so
+far, solved by integer-preserving simplex pivots, each outcome checked
+against its solution or Farkas certificate.  Lower-dimensional point
+sets are legal: membership in a convex hull makes no reference to
+full-dimensionality.
 """
 
 from __future__ import annotations
@@ -63,67 +64,102 @@ def _hull_2d(points: list[Point]) -> list[Point]:
 def point_in_hull(v: Sequence[int | Fraction], points: Sequence[Point]) -> bool:
     """Exact test whether v lies in the convex hull of the given points.
 
-    Solves the phase-1 linear program for barycentric coordinates with
-    Bland's rule, entirely over Fractions.
+    Solves the phase-1 linear program for barycentric coordinates over the
+    integers (each coordinate row is scaled by its target's denominator),
+    and the answer is checked against its solution or Farkas certificate.
     """
     pts = list(points)
     if not pts:
         return False
-    dim = len(pts[0])
-    # Feasibility of: lambda >= 0, sum lambda = 1, sum lambda * p = v.
-    nvars = len(pts)
-    rows = [[Fraction(1)] * nvars + [Fraction(1)]]
-    for i in range(dim):
-        rows.append([Fraction(p[i]) for p in pts] + [Fraction(v[i])])
-    return _lp_feasible(rows)
+    return _lp_feasible(_hull_rows(v, pts))[0]
 
 
-def _lp_feasible(rows: list[list[Fraction]]) -> bool:
-    # rows: [coeffs..., rhs]; decide existence of x >= 0 with Ax = b.
+def _hull_rows(v: Sequence[int | Fraction], pts: Sequence[Point]) -> list[list[int]]:
+    # lambda >= 0, sum lambda = 1, sum lambda * q = v, as integer rows [coeffs..., rhs].
+    rows = [[1] * len(pts) + [1]]
+    for i in range(len(pts[0])):
+        den = v[i].denominator
+        rows.append([q[i] * den for q in pts] + [v[i].numerator])
+    return rows
+
+
+def _lp_feasible(rows: list[list[int]]) -> tuple[bool, list[int], int]:
+    """Decide whether x >= 0 with A x = b exists, for integer rows [A | b].
+
+    Returns what ``_simplex`` returns, (True, x, d) with x / d a solution
+    or (False, y, d) with y A <= 0 < y b, once the witness has been
+    checked here with integer arithmetic.
+    """
+    n = len(rows[0]) - 1
+    feasible, vector, d = _simplex(rows)
+    if feasible:
+        if d <= 0 or any(x < 0 for x in vector) or any(
+            sum(a * x for a, x in zip(row, vector)) != d * row[n] for row in rows
+        ):
+            raise ArithmeticError(f"linear program: {vector}/{d} does not solve A x = b, x >= 0")
+    elif sum(y * row[n] for y, row in zip(vector, rows)) <= 0 or any(
+        sum(y * row[j] for y, row in zip(vector, rows)) > 0 for j in range(n)
+    ):
+        raise ArithmeticError(f"linear program: {vector} is not a Farkas vector (y A <= 0 < y b)")
+    return feasible, vector, d
+
+
+def _simplex(rows: list[list[int]]) -> tuple[bool, list[int], int]:
+    """Phase-1 simplex with Bland's rule and fraction-free integer pivots.
+
+    The tableau [A | I | b] (rows signed so that b >= 0, one artificial
+    column per row) is kept integral over one common denominator d > 0,
+    the current basis determinant: a pivot on p = T[r][e] maps every other
+    row to (p * row - row[e] * T[r]) // d, exactly, and makes p the new d
+    (Edmonds 1967).  The last row is the phase-1 objective, the sum of the
+    artificials; positive entries price the entering columns.
+
+    Returns (True, x, d) with x / d a basic solution, or (False, y, d)
+    with y A <= 0 < y b, read from the objective row's artificial columns.
+    """
     m = len(rows)
     n = len(rows[0]) - 1
-    tableau = [row[:] for row in rows]
-    for r in range(m):
-        if tableau[r][-1] < 0:
-            tableau[r] = [-x for x in tableau[r]]
-    # Artificial variable r is basic in row r; objective = sum of artificials.
+    signs = [-1 if row[n] < 0 else 1 for row in rows]
+    tab = [
+        [s * a for a in row[:n]] + [int(k == r) for k in range(m)] + [s * row[n]]
+        for r, (s, row) in enumerate(zip(signs, rows))
+    ]
+    objective = [sum(col) for col in zip(*tab)]
+    objective[n:n + m] = [0] * m
+    tab.append(objective)
     basis = [n + r for r in range(m)]
-    cost = [Fraction(0)] * n
-    for r in range(m):
-        for j in range(n):
-            cost[j] += tableau[r][j]
-    obj = sum(t[-1] for t in tableau)
-
+    d = 1
     while True:
-        enter = next((j for j in range(n) if cost[j] > 0), None)
+        enter = next((j for j in range(n) if objective[j] > 0), None)
         if enter is None:
-            return obj == 0
-        # Ratio test, Bland tie-break on basis index.
+            break
+        # Ratio test, cross-multiplied since all rows share d; Bland tie-break
+        # on basis index.
         leave = None
-        best: Fraction | None = None
         for r in range(m):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+            a = tab[r][enter]
+            if a > 0 and (leave is None or (tab[r][-1] * tab[leave][enter], basis[r])
+                          < (tab[leave][-1] * a, basis[leave])):
+                leave = r
         if leave is None:
-            # Unbounded phase-1 objective cannot happen (it is bounded by 0),
-            # but guard anyway.
-            return False
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for r in range(m):
-            if r != leave and tableau[r][enter]:
-                f = tableau[r][enter]
-                tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tableau[leave][:-1])]
-        obj -= f * tableau[leave][-1]
+            raise ArithmeticError("linear program: phase-1 objective is unbounded")
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for r, row in enumerate(tab):
+            if r != leave:
+                f = row[enter]
+                tab[r] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        objective = tab[m]
         basis[leave] = enter
+        d = p
+    if objective[-1] == 0:
+        x = [0] * n
+        for r, j in enumerate(basis):
+            if j < n:
+                x[j] = tab[r][-1]
+        return True, x, d
+    # The phase-1 duals are pi_k = (objective[n + k] + d) / d on the signed rows.
+    return False, [s * (objective[n + k] + d) for k, s in enumerate(signs)], d
 
 
 def hull_vertices(points: Sequence[Point]) -> list[Point]:
@@ -144,7 +180,19 @@ def hull_vertices(points: Sequence[Point]) -> list[Point]:
         return [pts[0]] if pts[0] == pts[-1] else ends
     if dim == 2:
         return _hull_2d(pts)
-    return [p for p in pts if not point_in_hull(p, [q for q in pts if q != p])]
+    # Clarkson's output-sensitive loop: ``found`` holds vertices only, and
+    # each LP either puts p in their hull or returns a direction c with
+    # c.p > c.q for every found q; the lex-greatest maximiser of c over all
+    # points is then a vertex not yet found.
+    found = [pts[-1]]
+    for p in pts:
+        while p not in found:
+            inside, y, _ = _lp_feasible(_hull_rows(p, found))
+            if inside:
+                break
+            c = y[1:]
+            found.append(max(pts, key=lambda s: (sum(a * b for a, b in zip(c, s)), s)))
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -311,9 +359,12 @@ def dual_ball(poly: LatticePolytope) -> NormBall:
         for k, v in enumerate(cycle):
             endpoints[v] = (corner[(k - 1) % n], corner[k])
         for phi in corner:
-            assert all(
-                sum(phi[i] * normals[v][i] for i in range(2)) <= half for v in cycle
-            ), "dual vertex violates a supporting inequality"
+            for v in cycle:
+                if sum(phi[i] * normals[v][i] for i in range(2)) > half:
+                    raise ArithmeticError(
+                        f"dual_ball: dual vertex ({', '.join(map(str, phi))}) violates "
+                        f"the supporting inequality of hull vertex {v}"
+                    )
         start = min(range(n), key=lambda k: corner[k])
         vertices = tuple(corner[(start + k) % n] for k in range(n))
 

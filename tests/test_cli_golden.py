@@ -42,6 +42,8 @@ INPUTS = (
     *((f"@gamma_{n}.braid", BRAID_COMMANDS) for n in range(2, 6)),
     # mapping torus of the two-cycle braid n=3: 1 1 2 -1 2 (b_1 = 3)
     ("link3.pres", (("alexander",), ("norm-ball",), ("check",))),
+    # the seed-0 anchor_link_n7_2.pres of bench/gen.py: a 58-point rank-3 support
+    ("link7.pres", (("norm-ball",), ("check",))),
     ("free2.pres", PRES_COMMANDS),  # no relator: degenerate polynomial
     ("not_cycle.braid", BRAID_COMMANDS),
     ("z2.pres", PRES_COMMANDS),  # Z^2: Delta = 1, four Brown components

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from normforge import polytope
 from normforge.laurent import LaurentPoly
 from normforge.polytope import (
+    _lp_feasible,
     alexander_norm,
     balance_center,
     dual_ball,
@@ -86,6 +88,39 @@ def random_point_corpus(seed=20, count=140):
     return corpus
 
 
+def higher_dim_corpus(seed=21, count=60):
+    """Point sets in dimensions 3-5: general, coplanar, collinear, one point; duplicates kept."""
+    rng = random.Random(seed)
+    corpus = []
+    for k in range(count):
+        dim = rng.randint(3, 5)
+        n = rng.randint(1, 8)
+        kind = k % 4
+        if kind == 0:  # even points of a box and midpoints of pairs of them
+            base = [tuple(2 * rng.randint(-2, 2) for _ in range(dim)) for _ in range(n // 2 + 1)]
+            pts = base + [tuple((x + y) // 2 for x, y in zip(rng.choice(base), rng.choice(base)))
+                          for _ in range(n - len(base))]
+        elif kind == 1:  # a 2-plane through a random integer point
+            base = [rng.randint(-2, 2) for _ in range(dim)]
+            u, w = ([rng.randint(-1, 1) for _ in range(dim)] for _ in range(2))
+            pts = [tuple(b + s * x + t * y for b, x, y in zip(base, u, w))
+                   for s, t in ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n))]
+        elif kind == 2:  # a line, duplicates included
+            u = [rng.randint(-2, 2) for _ in range(dim)]
+            pts = [tuple(t * x for x in u) for t in (rng.randint(-3, 3) for _ in range(n))]
+        else:  # one point, repeated
+            pts = [tuple(rng.randint(-3, 3) for _ in range(dim))] * n
+        corpus.append(pts)
+    return corpus
+
+
+def random_equality_systems(seed=22, count=400):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        yield [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(m)]
+
+
 class TestHull:
     def test_golden_quadrilateral(self, delta_golden):
         poly = newton_polytope(delta_golden)
@@ -114,6 +149,10 @@ class TestHull:
         for pts in random_point_corpus():
             assert sorted(hull_vertices(pts)) == extreme_points_oracle(pts)
 
+    def test_higher_dimensions_match_oracle(self):
+        for pts in higher_dim_corpus():
+            assert hull_vertices(pts) == extreme_points_oracle(sorted(set(pts)))
+
     def test_collinear(self):
         assert hull_vertices([(0, 0), (1, 1), (2, 2), (3, 3)]) == [(0, 0), (3, 3)]
 
@@ -121,6 +160,48 @@ class TestHull:
         square = [(0, 0), (2, 0), (0, 2), (2, 2)]
         assert point_in_hull((1, 1), square)
         assert not point_in_hull((3, 1), square)
+
+    def test_point_in_hull_fraction_targets(self):
+        simplex = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6)]
+        eps = Fraction(1, 10**12)
+        assert point_in_hull((2, 2, 2), simplex)  # on the face x + y + z = 6
+        assert point_in_hull((Fraction(2), Fraction(2), 2 - eps), simplex)
+        assert point_in_hull((eps, eps, Fraction(17, 3)), simplex)
+        assert not point_in_hull((Fraction(2), Fraction(2), 2 + eps), simplex)
+        assert not point_in_hull((-eps, Fraction(1, 3), Fraction(1, 3)), simplex)
+
+
+class TestLinearProgram:
+    """Every outcome of the LP carries a witness, checked here independently."""
+
+    def test_witnesses_on_random_systems(self):
+        outcomes = set()
+        for rows in random_equality_systems():
+            n = len(rows[0]) - 1
+            feasible, vector, d = _lp_feasible(rows)
+            outcomes.add(feasible)
+            if feasible:
+                assert d > 0 and len(vector) == n and min(vector) >= 0
+                for row in rows:
+                    assert sum(a * x for a, x in zip(row, vector)) == d * row[n]
+            else:
+                assert len(vector) == len(rows)
+                assert sum(y * row[n] for y, row in zip(vector, rows)) > 0
+                for j in range(n):
+                    assert sum(y * row[j] for y, row in zip(vector, rows)) <= 0
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("rows, witness", [
+        ([[1, 1, 1], [1, -1, 0]], (True, [1, 0], 1)),  # A x != d b
+        ([[1, 1, 0]], (True, [1, -1], 1)),  # A x = b, but x has a negative entry
+        ([[1, 1, -1]], (True, [1, 0], -1)),  # A x = d b with x >= 0, but d < 0
+        ([[1, 1, 1], [1, -1, 0]], (False, [1, 0], 1)),  # y A has a positive entry
+        ([[1, 1, 0]], (False, [-1], 1)),  # y A <= 0, but y b = 0
+    ])
+    def test_bad_witness_is_refused(self, monkeypatch, rows, witness):
+        monkeypatch.setattr(polytope, "_simplex", lambda rows: witness)
+        with pytest.raises(ArithmeticError, match="does not solve" if witness[0] else "not a Farkas"):
+            _lp_feasible(rows)
 
 
 class TestAlexanderNorm:
@@ -237,6 +318,12 @@ class TestDualBall:
             assert ball.center == point
             assert ball.faces == ()
             assert ball.vertices is None
+
+    def test_dual_vertex_outside_the_ball_raises(self, delta_golden, monkeypatch):
+        poly = newton_polytope(delta_golden)
+        monkeypatch.setattr(polytope, "_solve2", lambda a, b, rhs: (Fraction(5), Fraction(5)))
+        with pytest.raises(ArithmeticError, match=r"dual_ball: dual vertex \(5, 5\)"):
+            dual_ball(poly)
 
     def test_unbalanced_raises(self):
         poly = lattice_polytope([(0, 0), (1, 0), (0, 1)], [1, 1, 1])
