@@ -17,8 +17,10 @@ deterministic.
 
 Applied to the Alexander polynomial of a presentation this computes the
 BNS invariant of the Alexander invariant (the metabelianized commutator
-subgroup), which contains the BNS invariant of the group itself; the
-comparator below certifies containments between two such descriptions.
+subgroup), which contains the BNS invariant of the group itself.  The
+comparator below decides containments between two rank-2 descriptions
+exactly, with a witness direction for every verdict; other ranks are
+refused.
 """
 
 from __future__ import annotations
@@ -303,6 +305,8 @@ class ComponentComparison:
     :func:`cone_contains` alone: for proper containment a direction in
     the outer cone missing from the inner one; for non-containment a
     direction of the inner cone missed by every outer component.
+    ``certified`` is False only for a non-containment whose escape could
+    not be confirmed (witness None), which needs overlapping outer cones.
     """
 
     inner_label: Vec
@@ -314,6 +318,18 @@ class ComponentComparison:
 
 def _mediant(u: Dir, v: Dir) -> Dir:
     return primitive((u[0] + v[0], u[1] + v[1]))
+
+
+def _escape(
+    inner: OpenCone, witness: Dir, outer_components: Sequence[OpenCone]
+) -> ComponentComparison:
+    # Non-containment is certified only once cone membership confirms
+    # the witness lies in the inner cone and in no outer component.
+    if cone_contains(inner, witness) and not any(
+        cone_contains(c, witness) for c in outer_components
+    ):
+        return ComponentComparison(inner.label, "not_contained", None, witness, True)
+    return ComponentComparison(inner.label, "not_contained", None, None, False)
 
 
 def _compare_rank2(
@@ -338,103 +354,46 @@ def _compare_rank2(
         return ComponentComparison(
             inner.label, "properly_contained", host.label, witness, True
         )
+    # A boundary ray of the host misses the open host and every outer cone
+    # disjoint from it; it escapes whenever it lies in the open inner cone.
+    # That holds for both rays when the inner cone is the whole circle, and
+    # for the ray on a side where the inner arc leaves the closed host arc.
     if arc_in.full_circle:
-        witness = (-interior_direction(host)[0], -interior_direction(host)[1])
-        return ComponentComparison(
-            inner.label, "not_contained", None, primitive(witness), True
-        )
+        return _escape(inner, arc_out.start, outer_components)
     if arc_in == arc_out:
         return ComponentComparison(inner.label, "equal", host.label, None, True)
-    inside = direction_in_arc(arc_in.start, arc_out, closed=True) and direction_in_arc(
-        arc_in.end, arc_out, closed=True
-    )
-    if inside:
-        # Proper containment: produce a direction strictly between the
-        # differing boundary pair by the mediant construction.
-        for outer_dir, inner_dir in (
-            (arc_out.start, arc_in.start),
-            (arc_in.end, arc_out.end),
-        ):
-            if outer_dir != inner_dir:
-                w = _mediant(outer_dir, inner_dir)
-                if cone_contains(host, w) and not cone_contains(inner, w):
-                    return ComponentComparison(
-                        inner.label, "properly_contained", host.label, w, True
-                    )
-        raise AssertionError("distinct nested arcs must admit a mediant witness")
-    # Partial overlap: walk mediants from the sample toward each inner
-    # boundary until a direction inside the inner cone escapes the host.
-    for target in (arc_in.start, arc_in.end):
-        probe = sample
-        for _ in range(64):
-            probe = _mediant(probe, target)
-            if cone_contains(inner, probe) and not cone_contains(host, probe):
+    for inner_dir, outer_dir in ((arc_in.start, arc_out.start), (arc_in.end, arc_out.end)):
+        if not direction_in_arc(inner_dir, arc_out, closed=True):
+            return _escape(inner, outer_dir, outer_components)
+    # Proper containment: produce a direction strictly between the
+    # differing boundary pair by the mediant construction.
+    for outer_dir, inner_dir in (
+        (arc_out.start, arc_in.start),
+        (arc_in.end, arc_out.end),
+    ):
+        if outer_dir != inner_dir:
+            w = _mediant(outer_dir, inner_dir)
+            if cone_contains(host, w) and not cone_contains(inner, w):
                 return ComponentComparison(
-                    inner.label, "not_contained", None, probe, True
+                    inner.label, "properly_contained", host.label, w, True
                 )
-    return ComponentComparison(inner.label, "not_contained", None, None, False)
-
-
-def _compare_sampled(
-    inner: OpenCone, outer_components: Sequence[OpenCone], rank: int
-) -> ComponentComparison:
-    # Rank > 2: no exact cell decomposition here; verdicts are sampled
-    # from a deterministic grid and labeled non-certified.
-    from itertools import product
-
-    samples = [
-        v
-        for v in product(range(-2, 3), repeat=rank)
-        if any(v) and cone_contains(inner, v)
-    ]
-    if not samples:
-        return ComponentComparison(inner.label, "empty", None, None, False)
-    hosts = [
-        c
-        for c in outer_components
-        if all(cone_contains(c, s) for s in samples)
-    ]
-    if not hosts:
-        stray = next(
-            (
-                s
-                for s in samples
-                if not any(cone_contains(c, s) for c in outer_components)
-            ),
-            None,
-        )
-        return ComponentComparison(
-            inner.label, "not_contained", None, tuple(primitive(stray)) if stray else None, False
-        )
-    host = hosts[0]
-    if set(host.constraints) == set(inner.constraints):
-        return ComponentComparison(inner.label, "equal", host.label, None, False)
-    witness = next(
-        (
-            tuple(primitive(v))
-            for v in product(range(-2, 3), repeat=rank)
-            if any(v) and cone_contains(host, v) and not cone_contains(inner, v)
-        ),
-        None,
-    )
-    relation = "properly_contained" if witness else "equal"
-    return ComponentComparison(inner.label, relation, host.label, witness, False)
+    raise AssertionError("distinct nested arcs must admit a mediant witness")
 
 
 def compare_sigma(
     inner: SigmaDescription, outer: SigmaDescription
 ) -> tuple[ComponentComparison, ...]:
-    """Per inner component: equal / properly_contained / not_contained.
+    """Per inner component: equal / properly_contained / not_contained / empty.
 
-    Rank-2 verdicts are exact with verifiable witness directions; higher
-    rank falls back to deterministic sampling, flagged non-certified.
+    Exact in rank 2, where every cone is an arc: each verdict carries a
+    witness direction checkable with :func:`cone_contains` alone.  A
+    ``not_contained`` verdict is left non-certified (witness None) only
+    when no escape can be confirmed, which needs overlapping outer cones;
+    :func:`sigma_principal` and Brown's procedure never build those.
+    Other ranks are refused with ``ValueError``.
     """
     if inner.rank != outer.rank:
         raise ValueError("descriptions have different ranks")
-    if inner.rank == 2:
-        return tuple(
-            _compare_rank2(c, outer.components) for c in inner.components
-        )
-    return tuple(
-        _compare_sampled(c, outer.components, inner.rank) for c in inner.components
-    )
+    if inner.rank != 2:
+        raise ValueError(f"cone comparison is exact in rank 2 only, got rank {inner.rank}")
+    return tuple(_compare_rank2(c, outer.components) for c in inner.components)

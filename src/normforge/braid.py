@@ -45,7 +45,6 @@ from .words import (
     Generator,
     Presentation,
     Word,
-    free_abelianization,
     make_alphabet,
 )
 
@@ -333,15 +332,21 @@ def mapping_torus_delta_fox(b: BraidWord) -> LaurentPoly:
     if not is_n_cycle(b):
         raise ValueError("the mapping-torus comparison needs an n-cycle braid")
     pres = mapping_torus_presentation(b)
-    ab = free_abelianization(pres)
-    assert ab.rank == 2 and not ab.torsion, "n-cycle mapping torus has H_1 = Z^2"
     data = alexander_data(pres)
+    ab = data.abelianization
+    if ab.rank != 2 or ab.torsion:
+        raise ArithmeticError(
+            f"n-cycle mapping torus must have H_1 = Z^2, got rank {ab.rank} and torsion {ab.torsion}"
+        )
     x1 = Word(pres.alphabet, [(0, 1)])
     s = Word(pres.alphabet, [(len(pres.alphabet) - 1, 1)])
     c1 = ab.image(x1)
     c2 = ab.image(s)
     det = c1[0] * c2[1] - c1[1] * c2[0]
-    assert abs(det) == 1, "puncture and suspension classes must form a basis"
+    if abs(det) != 1:
+        raise ArithmeticError(
+            f"puncture and suspension classes {c1}, {c2} are not a basis (determinant {det})"
+        )
     # Inverse of the column matrix [c1 c2]: det * adjugate, exact over Z.
     inv = [
         [det * c2[1], det * -c2[0]],

@@ -541,37 +541,6 @@ def substitute(p: LaurentPoly, images: Sequence[LaurentPoly]) -> LaurentPoly:
         for im in images:
             if im.nvars != target:
                 raise ValueError("images live in different rings")
-    if p.is_zero():
-        return LaurentPoly.zero(target)
-
-    # Fast path: all images are units, so substitution is an exponent map.
-    units: list[tuple[Exponents, int]] | None = []
-    for im in images:
-        if im.is_unit():
-            (e, c), = im.terms.items()
-            units.append((e, c))
-        else:
-            units = None
-            break
-    if units is not None:
-        out: Terms = {}
-        for e, c in p.terms.items():
-            new_e = [0] * target
-            sign = 1
-            for k, ek in enumerate(e):
-                ue, uc = units[k]
-                for i in range(target):
-                    new_e[i] += ue[i] * ek
-                if uc < 0 and ek % 2:
-                    sign = -sign
-            key = tuple(new_e)
-            s = out.get(key, 0) + sign * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(target, out)
-
     result = LaurentPoly.zero(target)
     power_cache: dict[tuple[int, int], LaurentPoly] = {}
     for e, c in p.terms.items():

@@ -16,7 +16,9 @@ from normforge.alexander import (
     elementary_ideal,
     fox_derivative,
 )
+from normforge.bns import compare_sigma, cone_arc, cone_contains, sigma_alexander
 from normforge.braid import gamma, mapping_torus_presentation
+from normforge.brown import brown_sigma
 from normforge.laurent import (
     LaurentPoly,
     divide_exact,
@@ -113,6 +115,14 @@ class TestAlexanderMatrix:
             pres = Presentation(alphabet, rels)
             report = check_fundamental_identity(alexander_data(pres))
             assert report.status == "pass"
+
+    def test_doctored_matrix_fails_the_identity(self):
+        # Doubling dr/da leaves the residue (b - 1)(a - 1) on relator 0;
+        # the check is an explicit raise, so it also runs under python -O.
+        mat = alexander_matrix(presentation("a b", ["a b a^-1 b^-1"]))
+        (row,) = mat.entries
+        with pytest.raises(ArithmeticError, match="fundamental identity fails on relator 0: residue"):
+            AlexanderMatrix(mat.presentation, mat.abelianization, ((2 * row[0], row[1]),))
 
 
 class TestElementaryIdeals:
@@ -260,6 +270,25 @@ class TestDeficiencyOneQuotient:
         reference = gcd_many([g for g in minors if not g.is_zero()])
         assert quotient.terms == reference.terms
         assert alexander_data(CERTIFIED[name]).polynomial.terms == reference.terms
+        pres = CERTIFIED[name]
+        if len(pres.alphabet) == 2 and len(pres.relators) == 1:
+            # Brown's cones against the Alexander cones: every verdict is
+            # certified and its witness checks by cone membership alone.
+            inner, outer = brown_sigma(pres), sigma_alexander(pres)
+            for report in compare_sigma(inner, outer):
+                cone = next(c for c in inner.components if c.label == report.inner_label)
+                assert report.certified
+                if report.relation == "not_contained":
+                    assert cone_contains(cone, report.witness)
+                    assert not any(cone_contains(c, report.witness) for c in outer.components)
+                elif report.relation == "equal":
+                    host = next(c for c in outer.components if c.label == report.outer_label)
+                    assert report.witness is None and cone_arc(host) == cone_arc(cone)
+                else:
+                    assert report.relation == "properly_contained"
+                    host = next(c for c in outer.components if c.label == report.outer_label)
+                    assert cone_contains(host, report.witness)
+                    assert not cone_contains(cone, report.witness)
 
     @pytest.mark.parametrize("pres", [
         pytest.param(presentation("a b", ["a b a b^-1 a^-1 b^-1"]), id="trefoil_b1_one"),

@@ -284,13 +284,58 @@ class TestCompareSigma:
         with pytest.raises(ValueError):
             compare_sigma(sigma, SigmaDescription(3, (), ()))
 
-    def test_rank3_sampled_verdicts_not_certified(self):
+    def test_other_ranks_are_refused(self):
+        # The open octant is not inside {-x + 1000y > 0, x + y + z > 0}:
+        # (1001, 1, 1) escapes, but no small grid direction does.  Rank 3
+        # has no exact comparator, so it is refused.
         from normforge.bns import SigmaDescription
 
         inner = SigmaDescription(
-            3, (OpenCone((1, 0, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),), ()
+            3, (OpenCone((1, 0, 0), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),), ()
         )
-        outer = SigmaDescription(3, (OpenCone((2, 0, 0), ((1, 0, 0),)),), ())
+        outer = SigmaDescription(3, (OpenCone((2, 0, 0), ((-1, 1000, 0), (1, 1, 1))),), ())
+        assert cone_contains(inner.components[0], (1001, 1, 1))
+        assert not cone_contains(outer.components[0], (1001, 1, 1))
+        with pytest.raises(ValueError, match="rank 3"):
+            compare_sigma(inner, outer)
+
+    @pytest.mark.parametrize(
+        "outer_cones, expected",
+        [
+            pytest.param((((-1, 1000), (1, 1)),), (1000, 1), id="thin_host"),
+            pytest.param(
+                (((-2, 5), (1, 1)), ((1, 1), (5, -13))), (5, 2), id="disjoint_hosts"
+            ),
+        ],
+    )
+    def test_partial_overlap_escapes_at_host_boundary(self, outer_cones, expected):
+        # The open quadrant overlaps the host, and its endpoint (1, 0) lies
+        # outside the closed host arc; the host's boundary ray on that side
+        # is the witness.  Directions between it and (1, 0), such as (3, 1),
+        # may lie in another outer cone.
+        from normforge.bns import SigmaDescription
+
+        inner = SigmaDescription(2, (OpenCone((1, 0), ((0, 1), (1, 0))),), ())
+        outer = SigmaDescription(
+            2, tuple(OpenCone((k, 0), cs) for k, cs in enumerate(outer_cones)), ()
+        )
         (report,) = compare_sigma(inner, outer)
-        assert report.relation == "properly_contained"
-        assert not report.certified
+        assert report.relation == "not_contained" and report.certified
+        assert report.witness == expected
+        assert cone_contains(inner.components[0], report.witness)
+        assert not any(cone_contains(c, report.witness) for c in outer.components)
+
+    def test_random_descriptions_are_certified(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            inner = sigma_principal(random_nonzero_poly(rng))
+            outer = sigma_principal(random_nonzero_poly(rng))
+            for report, cone in zip(compare_sigma(inner, outer), inner.components):
+                assert report.certified
+                if report.relation == "not_contained":
+                    assert cone_contains(cone, report.witness)
+                    assert not any(cone_contains(c, report.witness) for c in outer.components)
+                elif report.relation == "properly_contained":
+                    host = next(c for c in outer.components if c.label == report.outer_label)
+                    assert cone_contains(host, report.witness)
+                    assert not cone_contains(cone, report.witness)
