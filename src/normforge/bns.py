@@ -189,7 +189,11 @@ def cone_arc(cone: OpenCone) -> Arc | None:
     survivors = _boundary_candidates(cone)
     cw = [u for u in survivors if _cross(u, s) > 0]
     ccw = [u for u in survivors if _cross(s, u) > 0]
-    assert cw and ccw, "a nonempty proper cone has boundary on both sides"
+    if not (cw and ccw):
+        raise ArithmeticError(
+            f"cone arc: interior direction {s} of the cone {cone.label} has boundary "
+            f"candidates {survivors} on one side only"
+        )
     start = cw[0]
     for u in cw[1:]:
         if _cross(start, u) > 0:
@@ -283,7 +287,10 @@ def rank2_arcs(sigma: SigmaDescription) -> SphereArcs:
     for k, d in enumerate(ordered):
         nxt = ordered[(k + 1) % len(ordered)]
         mid = (d[0] + nxt[0], d[1] + nxt[1])
-        assert mid != (0, 0), "enriched candidates are less than pi apart"
+        if mid == (0, 0):
+            raise ArithmeticError(
+                f"circle complement: consecutive candidates {d} and {nxt} are antipodal"
+            )
         if not covered(primitive(mid)):
             finite = False
             break
@@ -339,14 +346,20 @@ def _compare_rank2(
     if arc_in is None:
         return ComponentComparison(inner.label, "empty", None, None, True)
     sample = interior_direction(inner)
-    assert sample is not None
+    if sample is None:
+        raise ArithmeticError(
+            f"containment: the cone {inner.label} has an arc but no interior direction"
+        )
     host = next(
         (c for c in outer_components if cone_contains(c, sample)), None
     )
     if host is None:
         return ComponentComparison(inner.label, "not_contained", None, sample, True)
     arc_out = cone_arc(host)
-    assert arc_out is not None
+    if arc_out is None:
+        raise ArithmeticError(
+            f"containment: the cone {host.label} contains {sample} but has no arc"
+        )
     if arc_out.full_circle:
         if arc_in.full_circle:
             return ComponentComparison(inner.label, "equal", host.label, None, True)

@@ -19,32 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
-from . import __version__
-from .alexander import (
-    alexander_data,
-    check_e1_structure,
-    check_fundamental_identity,
-    check_symmetry,
-    CheckReport,
-)
-from .bns import compare_sigma, rank2_arcs, sigma_alexander
-from .braid import (
-    burau,
-    is_n_cycle,
-    mapping_torus_delta,
-    mapping_torus_delta_fox,
-    mapping_torus_presentation,
-    parse_braid,
-    permutation,
-)
-from .brown import UnsupportedPresentation, brown_sigma, simple_vertices, trace_relator
-from .laurent import equal_up_to_unit, normalize_unit, poly_to_text
-from .polytope import balance_center, dual_ball, newton_polytope, alexander_norm
-from .words import ParseError, parse_presentation_text
+# Library modules are bound, not their names: a module's code runs only
+# when a command first calls into it (see the package docstring).
+from . import __version__, alexander, bns, braid, brown, laurent, polytope, words
 
 _NORMALIZATION_NOTE = (
     "per-variable minimum exponent 0; leading coefficient positive (descending lex)"
@@ -58,14 +39,22 @@ class CommandFlag(Exception):
     """A computation-level condition that maps to exit status 1."""
 
 
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+_EXAMPLE_SUFFIXES = (".pres", ".braid")
+
+
+def _example_names() -> list[str]:
+    return sorted(n for n in os.listdir(_DATA_DIR) if n.endswith(_EXAMPLE_SUFFIXES))
+
+
+def _read_example(name: str) -> str:
+    with open(os.path.join(_DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def bundled_examples() -> dict[str, str]:
     """Names and contents of the inputs shipped with the package."""
-    base = resources.files("normforge").joinpath("data")
-    out = {}
-    for entry in sorted(base.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith((".pres", ".braid")):
-            out[entry.name] = entry.read_text(encoding="utf-8")
-    return out
+    return {name: _read_example(name) for name in _example_names()}
 
 
 def _read_input(source: str) -> str:
@@ -73,15 +62,14 @@ def _read_input(source: str) -> str:
         return sys.stdin.read()
     if source.startswith("@"):
         name = source[1:]
-        examples = bundled_examples()
-        if name not in examples:
-            raise ParseError(1, f"no bundled example {name!r}; try 'normforge examples'")
-        return examples[name]
+        if name not in _example_names():
+            raise words.ParseError(1, f"no bundled example {name!r}; try 'normforge examples'")
+        return _read_example(name)
     try:
         with open(source, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(1, f"cannot read {source!r}: {exc}") from None
+        raise words.ParseError(1, f"cannot read {source!r}: {exc}") from None
 
 
 def _frac(x: Fraction) -> list[int]:
@@ -116,19 +104,19 @@ def _emit(args, payload: dict, render) -> None:
 
 
 def _load_pres(args):
-    return parse_presentation_text(_read_input(args.input))
+    return words.parse_presentation_text(_read_input(args.input))
 
 
 def cmd_alexander(args) -> int:
     pf = _load_pres(args)
-    data = alexander_data(pf.presentation)
+    data = alexander.alexander_data(pf.presentation)
     names = tuple(g.name for g in pf.presentation.alphabet)
     var_names = names if data.abelianization.rank == len(names) else tuple(
         f"y{i}" for i in range(data.abelianization.rank)
     )
     payload = {
         "command": "alexander",
-        "delta": poly_to_text(data.polynomial, var_names),
+        "delta": laurent.poly_to_text(data.polynomial, var_names),
         "variables": list(var_names),
         "rank": data.abelianization.rank,
         "torsion": list(data.abelianization.torsion),
@@ -154,21 +142,21 @@ def _alexander_text(p, args) -> list[str]:
 
 def cmd_norm(args) -> int:
     pf = _load_pres(args)
-    data = alexander_data(pf.presentation)
+    data = alexander.alexander_data(pf.presentation)
     if data.degenerate or data.polynomial.is_zero():
         raise CommandFlag("the Alexander polynomial is degenerate; the norm is undefined")
     try:
         phi = [Fraction(tok) for tok in args.phi.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise ParseError(1, f"malformed class {args.phi!r}; expected e.g. 1,0 or 1/2,-3")
+        raise words.ParseError(1, f"malformed class {args.phi!r}; expected e.g. 1,0 or 1/2,-3")
     if len(phi) != data.polynomial.nvars:
-        raise ParseError(
+        raise words.ParseError(
             1, f"class has {len(phi)} entries, expected {data.polynomial.nvars}"
         )
     payload = {
         "command": "norm",
         "phi": [_frac(x) for x in phi],
-        "norm": _frac(alexander_norm(data.polynomial, phi)),
+        "norm": _frac(polytope.alexander_norm(data.polynomial, phi)),
     }
     _emit(args, payload, lambda p, _args: [_fmt_num(p["norm"])])
     return 0
@@ -176,14 +164,14 @@ def cmd_norm(args) -> int:
 
 def cmd_norm_ball(args) -> int:
     pf = _load_pres(args)
-    data = alexander_data(pf.presentation)
+    data = alexander.alexander_data(pf.presentation)
     if data.degenerate:
         raise CommandFlag("degenerate Alexander polynomial: no Newton polytope")
-    poly = newton_polytope(data.polynomial)
-    center = balance_center(poly)
+    poly = polytope.newton_polytope(data.polynomial)
+    center = polytope.balance_center(poly)
     if center is None:
         raise CommandFlag("Newton polytope is not balanced; no dual ball")
-    ball = dual_ball(poly)
+    ball = polytope.dual_ball(poly)
     payload = {
         "command": "norm-ball",
         "vertices": [list(v) for v in poly.hull],
@@ -223,7 +211,7 @@ def _norm_ball_text(p, args) -> list[str]:
 
 
 def _sigma_payload(sigma) -> dict:
-    arcs = rank2_arcs(sigma)
+    arcs = bns.rank2_arcs(sigma)
     components = []
     for cone, arc in zip(sigma.components, arcs.arcs):
         entry = {
@@ -274,7 +262,7 @@ def _sigma_text(p, args) -> list[str]:
 def cmd_sigma_a(args) -> int:
     pf = _load_pres(args)
     try:
-        sigma = sigma_alexander(pf.presentation)
+        sigma = bns.sigma_alexander(pf.presentation)
     except ValueError as exc:
         raise CommandFlag(str(exc)) from None
     if sigma.rank != 2:
@@ -286,12 +274,12 @@ def cmd_sigma_a(args) -> int:
 def cmd_sigma_brown(args) -> int:
     pf = _load_pres(args)
     try:
-        sigma = brown_sigma(pf.presentation)
-    except UnsupportedPresentation as exc:
+        sigma = brown.brown_sigma(pf.presentation)
+    except brown.UnsupportedPresentation as exc:
         raise CommandFlag(str(exc)) from None
     relator = pf.presentation.relators[0].cyclically_reduced()
-    path = trace_relator(relator)
-    marked = simple_vertices(path)
+    path = brown.trace_relator(relator)
+    marked = brown.simple_vertices(path)
     payload = {
         "command": "sigma-brown",
         "path": [list(p) for p in path.points],
@@ -314,16 +302,16 @@ def _sigma_brown_text(p, args) -> list[str]:
 
 
 def cmd_burau(args) -> int:
-    braid = parse_braid(_read_input(args.input))
-    m = burau(braid)
+    beta = braid.parse_braid(_read_input(args.input))
+    m = braid.burau(beta)
     payload = {
         "command": "burau",
-        "strands": braid.strands,
-        "matrix": [[poly_to_text(e, ("t",)) for e in row] for row in m.entries],
+        "strands": beta.strands,
+        "matrix": [[laurent.poly_to_text(e, ("t",)) for e in row] for row in m.entries],
         "variable": "t",
-        "determinant": poly_to_text(m.det(), ("t",)),
-        "permutation": [p + 1 for p in permutation(braid)],
-        "n_cycle": is_n_cycle(braid),
+        "determinant": laurent.poly_to_text(m.det(), ("t",)),
+        "permutation": [p + 1 for p in braid.permutation(beta)],
+        "n_cycle": braid.is_n_cycle(beta),
     }
     _emit(args, payload, _burau_text)
     return 0
@@ -344,15 +332,15 @@ def _burau_text(p, args) -> list[str]:
 
 
 def cmd_mapping_torus(args) -> int:
-    braid = parse_braid(_read_input(args.input))
-    result = mapping_torus_delta(braid, t_substitution=args.substitution)
+    beta = braid.parse_braid(_read_input(args.input))
+    result = braid.mapping_torus_delta(beta, t_substitution=args.substitution)
     names = ("t", "w")
     cross = None
     if args.cross_check and result.n_cycle:
-        cross = equal_up_to_unit(mapping_torus_delta_fox(braid), result.poly)
+        cross = laurent.equal_up_to_unit(braid.mapping_torus_delta_fox(beta), result.poly)
     payload = {
         "command": "mapping-torus",
-        "delta": poly_to_text(normalize_unit(result.poly), names),
+        "delta": laurent.poly_to_text(laurent.normalize_unit(result.poly), names),
         "variables": list(names),
         "substitution": result.substitution,
         "n_cycle": result.n_cycle,
@@ -360,7 +348,7 @@ def cmd_mapping_torus(args) -> int:
         "conventions": {"normalization": _NORMALIZATION_NOTE},
     }
     if args.presentation:
-        pres = mapping_torus_presentation(braid)
+        pres = braid.mapping_torus_presentation(beta)
         payload["presentation"] = ["gens: " + " ".join(g.name for g in pres.alphabet)] + [
             f"rel: {r}" for r in pres.relators
         ]
@@ -395,11 +383,11 @@ def _mapping_torus_text(p, args) -> list[str]:
 def cmd_compare_question_b(args) -> int:
     pf = _load_pres(args)
     try:
-        inner = brown_sigma(pf.presentation)
-        outer = sigma_alexander(pf.presentation)
-    except (UnsupportedPresentation, ValueError) as exc:
+        inner = brown.brown_sigma(pf.presentation)
+        outer = bns.sigma_alexander(pf.presentation)
+    except (brown.UnsupportedPresentation, ValueError) as exc:
         raise CommandFlag(str(exc)) from None
-    reports = compare_sigma(inner, outer)
+    reports = bns.compare_sigma(inner, outer)
     relations = {rep.relation for rep in reports}
     if reports and relations == {"properly_contained"}:
         answer = "no"
@@ -466,15 +454,18 @@ def _compare_text(p, args) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    data = alexander_data(_load_pres(args).presentation)
-    reports: list[CheckReport] = [check_fundamental_identity(data), check_e1_structure(data)]
+    data = alexander.alexander_data(_load_pres(args).presentation)
+    reports: list[alexander.CheckReport] = [
+        alexander.check_fundamental_identity(data),
+        alexander.check_e1_structure(data),
+    ]
     if data.degenerate:
-        reports.append(CheckReport("symmetry", "unsupported", ("degenerate polynomial",)))
-        reports.append(CheckReport("newton_balance", "unsupported", ("degenerate polynomial",)))
+        for name in ("symmetry", "newton_balance"):
+            reports.append(alexander.CheckReport(name, "unsupported", ("degenerate polynomial",)))
     else:
-        sym = check_symmetry(data.polynomial)
+        sym = alexander.check_symmetry(data.polynomial)
         reports.append(
-            CheckReport(
+            alexander.CheckReport(
                 "symmetry",
                 "pass" if sym else "fail",
                 (f"delta(x) vs delta(x^-1): {'unit multiple' if sym else 'not associates'}",),
@@ -482,12 +473,12 @@ def cmd_check(args) -> int:
         )
         if data.polynomial.nvars == 0:
             reports.append(
-                CheckReport("newton_balance", "unsupported", ("rank 0: no polytope",))
+                alexander.CheckReport("newton_balance", "unsupported", ("rank 0: no polytope",))
             )
         else:
-            center = balance_center(newton_polytope(data.polynomial))
+            center = polytope.balance_center(polytope.newton_polytope(data.polynomial))
             reports.append(
-                CheckReport(
+                alexander.CheckReport(
                     "newton_balance",
                     "pass" if center is not None else "fail",
                     (f"center = {_fmt_point(center)}",)
@@ -509,13 +500,13 @@ def _check_text(p, args) -> list[str]:
 
 
 def cmd_examples(args) -> int:
-    examples = bundled_examples()
+    names = _example_names()
     if args.name:
-        if args.name not in examples:
-            raise ParseError(1, f"no bundled example {args.name!r}")
-        sys.stdout.write(examples[args.name])
+        if args.name not in names:
+            raise words.ParseError(1, f"no bundled example {args.name!r}")
+        sys.stdout.write(_read_example(args.name))
         return 0
-    for name in examples:
+    for name in names:
         print(name)
     return 0
 
@@ -569,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except words.ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except CommandFlag as exc:

@@ -445,7 +445,10 @@ def _divide_coeffs(split: dict[int, Terms], content: Terms) -> dict[int, Terms]:
     out: dict[int, Terms] = {}
     for k, coeff in split.items():
         q = _dict_div_exact(coeff, content)
-        assert q is not None, "content must divide every coefficient"
+        if q is None:
+            raise ArithmeticError(
+                f"gcd: content {content} does not divide the coefficient {coeff} of degree {k}"
+            )
         out[k] = q
     return out
 

@@ -328,7 +328,11 @@ def smith_normal_form(
                 swap_rows(i, i + 1)
             if d[i][i] < 0:
                 negate_row(i)
-            assert d[i][i] and d[i][i + 1] % d[i][i] == 0
+            if not d[i][i] or d[i][i + 1] % d[i][i]:
+                raise ArithmeticError(
+                    f"Smith normal form: pivot {d[i][i]} at ({i}, {i}) does not divide "
+                    f"the entry {d[i][i + 1]} beside it"
+                )
             add_col(i, i + 1, -(d[i][i + 1] // d[i][i]))
             if d[i + 1][i + 1] < 0:
                 negate_row(i + 1)
@@ -381,8 +385,12 @@ def free_abelianization(p: Presentation) -> AbelianizationMap:
     torsion = tuple(x for x in diag if x > 1)
     matrix = tuple(tuple(u[i]) for i in free_rows)
     m = AbelianizationMap(p.alphabet, len(free_rows), matrix, torsion)
-    for w in p.relators:
-        assert m.image(w) == (0,) * m.rank, "projection must annihilate every relator"
+    for k, w in enumerate(p.relators):
+        image = m.image(w)
+        if any(image):
+            raise ArithmeticError(
+                f"free abelianization: relator {k} projects to {image}, not to zero"
+            )
     return m
 
 

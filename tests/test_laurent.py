@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from normforge import laurent
 from normforge.laurent import (
     LaurentPoly,
     divide_exact,
@@ -184,6 +185,11 @@ class TestGcd:
             p = random_nonzero(rng)
             q = random_nonzero(rng)
             assert equal_up_to_unit(gcd(p, q), gcd(q, p))
+
+    def test_content_that_does_not_divide_raises(self):
+        # The check survives python -O: 2 does not divide the coefficient 3.
+        with pytest.raises(ArithmeticError, match=r"gcd: content \{\(0,\): 2\} does not divide"):
+            laurent._divide_coeffs({0: {(0,): 4}, 1: {(0,): 3}}, {(0,): 2})
 
     def test_gcd_many_and_integers(self):
         assert gcd_many([6 * A, 4 * B, 10 * A * B]) == LaurentPoly.constant(2, 2)

@@ -1,0 +1,92 @@
+"""Start-up: importing the package runs no library module; a command runs only those it uses.
+
+A module's code has run exactly when its namespace holds ``__builtins__``
+(executing a module body puts it there).  ``object.__getattribute__``
+reads the namespace without triggering a lazy module's load.  Each case
+runs in a fresh interpreter, since this test session has loaded every
+module already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import normforge
+
+LIBRARY = ("words", "laurent", "alexander", "polytope", "bns", "brown", "braid")
+
+_REPORT = """
+executed = sorted(
+    name for name in %r
+    if "__builtins__" in object.__getattribute__(sys.modules["normforge." + name], "__dict__")
+)
+print(json.dumps({"status": status, "executed": executed}))
+""" % (LIBRARY,)
+
+_RUN_MAIN = """
+from normforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+"""
+
+
+def probe(setup: str, *argv: str) -> dict:
+    """Run ``setup`` (which sets ``status``) in a new interpreter; report which modules ran."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(normforge.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, json, sys\n" + setup + _REPORT, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (("examples",), []),
+        (("examples", "section6.pres"), []),
+        (("alexander", "@section6.pres"), ["alexander", "laurent", "words"]),
+    ],
+)
+def test_command_runs_only_the_modules_it_uses(argv, executed):
+    assert probe(_RUN_MAIN, *argv) == {"status": 0, "executed": executed}
+
+
+def test_package_import_runs_no_library_module():
+    assert probe("import normforge; status = 0") == {"status": 0, "executed": []}
+
+
+def test_reimport_keeps_one_module_object_per_name():
+    setup = """
+import importlib, normforge
+words, error = normforge.words, normforge.ParseError
+importlib.reload(normforge)
+status = int(normforge.words is not words or normforge.ParseError is not error
+             or sys.modules["normforge.words"] is not words)
+"""
+    assert probe(setup)["status"] == 0
+
+
+def test_public_names_resolve_to_the_defining_module():
+    assert normforge.__all__ and len(set(normforge.__all__)) == len(normforge.__all__)
+    for name in normforge.__all__:
+        namespace: dict = {}
+        exec(f"from normforge import {name}", namespace)
+        obj = namespace[name]
+        home = sys.modules[obj.__module__]
+        assert obj.__module__ in {f"normforge.{m}" for m in LIBRARY}, name
+        assert getattr(home, name) is obj, name
+        assert getattr(normforge, obj.__module__.split(".")[1]) is home, name
+    assert set(normforge.__all__) <= set(dir(normforge))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        normforge.nope

@@ -4,6 +4,7 @@ import pytest
 
 from normforge.words import (
     MAX_WORD_LETTERS,
+    AbelianizationMap,
     Generator,
     ParseError,
     Presentation,
@@ -232,6 +233,12 @@ class TestFreeAbelianization:
         assert m.image(mu1) == (1, 0)
         assert m.image(mu2) == (-1, -1)
         assert m.image(section6.presentation.relators[0]) == (0, 0)
+
+    def test_projection_that_misses_a_relator_raises(self, monkeypatch):
+        monkeypatch.setattr(AbelianizationMap, "image", lambda self, w: (1,) * self.rank)
+        p = presentation("a b", ["a b a^-1 b^-1"])
+        with pytest.raises(ArithmeticError, match=r"relator 0 projects to \(1, 1\), not to zero"):
+            free_abelianization(p)
 
     def test_additivity(self):
         rng = random.Random(4)
