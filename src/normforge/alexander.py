@@ -7,7 +7,7 @@ the free abelianized quotient.  Fox's fundamental identity
 
     sum_j (dr/dx_j) (x_j - 1) = r - 1 = 0   in Z[ab(G)]
 
-holds on every row and is asserted at construction.
+holds on every row and is checked at construction.
 
 The i-th elementary ideal is generated by the (s-i) x (s-i) minors of
 this matrix (s = number of generators), with the usual Fitting-ideal
@@ -19,10 +19,10 @@ therefore well defined only up to a unit ±monomial.
 For a deficiency-one presentation (s generators, s-1 relators) with
 b_1 >= 2, E_1 = m * (Delta) with m the augmentation ideal (McMullen,
 Ann. Sci. ENS 2002, Thm 5.1), so Delta is one exact quotient
-D_j / (x^{v_j} - 1) of a maximal minor by a generator's binomial.  That
-quotient is used only with a certificate checked on every minor (see
-:func:`deficiency_one_quotient`); any other shape, or a failed
-certificate, takes the gcd of E_1.
+D_j / (x^{v_j} - 1) of a maximal minor by a generator's binomial.  The
+checked identity certifies it through Cramer's rule, which also gives
+the unit witness of every other minor (see
+:func:`deficiency_one_quotient`); any other shape takes the gcd of E_1.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .laurent import (
     normalize_unit,
     poly_matrix_det,
     poly_to_text,
-    unit_quotient,
 )
 from .words import (
     AbelianizationMap,
@@ -174,11 +173,15 @@ def elementary_ideal(mat: AlexanderMatrix, i: int) -> ElementaryIdealGens:
 
 @dataclass(frozen=True)
 class AlexanderData:
-    """Alexander polynomial together with the objects used to compute it."""
+    """Alexander polynomial with its matrix and, at deficiency one, E_1's unit witnesses.
+
+    ``e1_units[k]`` is the unit u_k with D_k = u_k * (x^{v_k} - 1) * Delta
+    for the minor D_k without column k; it is None on the gcd route.
+    """
 
     polynomial: LaurentPoly  # unit-normalized; zero when degenerate
     matrix: AlexanderMatrix
-    first_ideal: ElementaryIdealGens
+    e1_units: tuple[LaurentPoly, ...] | None
     degenerate: bool  # E_1 had no nonzero generator
     rank_zero: bool  # b_1 = 0, so the group ring is Z
 
@@ -189,19 +192,19 @@ class AlexanderData:
 
 def deficiency_one_quotient(
     mat: AlexanderMatrix, minors: Sequence[LaurentPoly]
-) -> LaurentPoly | None:
-    """Certified gcd of the E_1 minors of a deficiency-one matrix, or None.
+) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]] | None:
+    """Delta of a deficiency-one matrix and the units u_k with D_k = u_k f_k Delta.
 
     ``minors`` are the maximal minors in :func:`elementary_ideal`'s order,
     so ``minors[i]`` is D_j, the minor without column j = s-1-i.  With
-    f_j = x^{v_j} - 1 for the image v_j of generator j, Fox's identity
-    makes D_k * f_j and D_j * f_k agree up to sign.  For one j with
-    v_j != 0 and D_j != 0 (the fewest terms), Q = D_j / f_j must be exact,
-    every D_k must be a unit times Q * f_k (so D_k = 0 where v_k = 0), and
-    two images must be non-parallel.  Binomials along non-parallel
-    directions are coprime, so then gcd(D_0, ..., D_{s-1}) = Q.  Returns
-    the normalized Q, or None when any of these checks fails (including
-    every shape other than s generators, s-1 relators and b_1 >= 2).
+    f_k = x^{v_k} - 1 for the image v_k of generator k, Fox's identity
+    M f = 0 (checked when ``mat`` was built) and Cramer's rule
+    M ((-1)^k D_k)_k = 0 put f and the signed minors on one line, so
+    D_k = (-1)^(j+k) Q f_k with Q = D_j / f_j, for the j with v_j != 0 and
+    D_j != 0 of fewest terms.  When two images are non-parallel their
+    binomials are coprime, so Q is exact (a failed division raises
+    ``ArithmeticError``) and E_1 = m * (Q).  Returns None for parallel
+    images and every shape other than s generators, s-1 relators, b_1 >= 2.
     """
     s = mat.ncols
     ab = mat.abelianization
@@ -209,31 +212,36 @@ def deficiency_one_quotient(
         return None
     by_column = minors[::-1]
     images = [ab.generator_image(j) for j in range(s)]
-    factors = [LaurentPoly.monomial(ab.rank, v) - 1 for v in images]
     candidates = [j for j in range(s) if any(images[j]) and not by_column[j].is_zero()]
     if not candidates:
         return None
     j = min(candidates, key=lambda c: len(by_column[c].terms))
-    q = divide_exact(by_column[j], factors[j])
-    if q is None:
-        return None
-    for k in range(s):
-        if k != j and unit_quotient(q * factors[k], by_column[k]) is None:
-            return None
     base = images[j]
     if not any(base[a] * v[b] != base[b] * v[a]
                for v in images for a, b in combinations(range(ab.rank), 2)):
         return None
-    return normalize_unit(q)
+    q = divide_exact(by_column[j], LaurentPoly.monomial(ab.rank, base) - 1)
+    if q is None:
+        raise ArithmeticError(
+            f"deficiency-one quotient: x^{base} - 1 does not divide the minor without "
+            f"column {j}, contradicting Fox's identity"
+        )
+    # normalize_unit(q) = sign * x^-shift * q, so q = sign * x^shift * Delta.
+    shift = q.min_exponents()
+    sign = 1 if q.leading()[1] > 0 else -1
+    units = tuple(
+        LaurentPoly.monomial(ab.rank, shift, sign * (-1) ** (j + k)) for k in range(s)
+    )
+    return normalize_unit(q), units
 
 
 def alexander_data(p: Presentation) -> AlexanderData:
-    """Alexander polynomial of ``p`` with its matrix and first elementary ideal.
+    """Alexander polynomial of ``p`` with its matrix and E_1 unit witnesses.
 
-    Delta is the certified deficiency-one quotient D_j / (x^{v_j} - 1) of
-    :func:`deficiency_one_quotient` when ``p`` has one relator fewer than
-    generators and b_1 >= 2; otherwise, or when the certificate fails, it
-    is the gcd of the nonzero E_1 generators.
+    Delta is the deficiency-one quotient D_j / (x^{v_j} - 1) of
+    :func:`deficiency_one_quotient`, certified by Fox's identity, when
+    ``p`` has one relator fewer than generators and b_1 >= 2; otherwise
+    it is the gcd of the nonzero E_1 generators.
     """
     mat = alexander_matrix(p)
     e1 = elementary_ideal(mat, 1)
@@ -241,12 +249,10 @@ def alexander_data(p: Presentation) -> AlexanderData:
     rank_zero = mat.abelianization.rank == 0
     if not nonzero:
         return AlexanderData(
-            LaurentPoly.zero(mat.abelianization.rank), mat, e1, True, rank_zero
+            LaurentPoly.zero(mat.abelianization.rank), mat, None, True, rank_zero
         )
-    delta = deficiency_one_quotient(mat, e1.generators)
-    if delta is None:
-        delta = gcd_many(nonzero)
-    return AlexanderData(delta, mat, e1, False, rank_zero)
+    delta, units = deficiency_one_quotient(mat, e1.generators) or (gcd_many(nonzero), None)
+    return AlexanderData(delta, mat, units, False, rank_zero)
 
 
 def alexander_polynomial(p: Presentation) -> LaurentPoly:
@@ -284,12 +290,13 @@ class CheckReport:
 
 
 def check_e1_structure(data: AlexanderData) -> CheckReport:
-    """Verify E_1 = m * (Delta) for a two-generator one-relator presentation.
+    """Report E_1 = m * (Delta) for a two-generator one-relator presentation.
 
-    Concretely: dr/da must be (b - 1) * Delta up to a unit and dr/db must
-    be (a - 1) * Delta up to a unit, where m is the augmentation ideal.
-    Only the verifiable shape (2 generators, 1 relator, b_1 = 2) is
-    accepted; anything else is reported as unsupported, not an error.
+    Concretely: dr/da = u * (b - 1) * Delta and dr/db = u' * (a - 1) * Delta,
+    where m is the augmentation ideal, with the unit witnesses u, u' that
+    :func:`deficiency_one_quotient` read off Fox's identity.  Only the
+    verifiable shape (2 generators, 1 relator, b_1 = 2) is accepted;
+    anything else is reported as unsupported, not an error.
     """
     name = "e1_structure"
     p = data.matrix.presentation
@@ -306,27 +313,14 @@ def check_e1_structure(data: AlexanderData) -> CheckReport:
         return CheckReport(name, "fail", ("both Fox derivatives vanish",))
 
     names = tuple(g.name for g in p.alphabet)
-    delta = data.polynomial
-    witnesses: list[str] = [f"delta = {poly_to_text(delta, names)}"]
-    status = "pass"
-    # b_1 = 2 forces the abelianization matrix to be the identity here,
-    # so generator j maps to the monomial of variable j.
+    witnesses = [f"delta = {poly_to_text(data.polynomial, names)}"]
+    # b_1 = 2 forces the abelianization matrix to be the identity here, so
+    # dr/dx_j is the minor without column ``other``, whose binomial is
+    # (x_other - 1).
     for j, other in ((0, 1), (1, 0)):
-        xo = LaurentPoly.monomial(2, ab.generator_image(other))
-        expected = (xo - 1) * delta
-        actual = data.matrix.entries[0][j]
-        unit = unit_quotient(expected, actual)
-        if unit is None:
-            status = "fail"
-            witnesses.append(
-                f"d/d{names[j]} = {poly_to_text(actual, names)} is not a unit multiple of "
-                f"({names[other]} - 1) * delta"
-            )
-        else:
-            witnesses.append(
-                f"d/d{names[j]} = u * ({names[other]} - 1) * delta with u = {poly_to_text(unit, names)}"
-            )
-    return CheckReport(name, status, tuple(witnesses))
+        unit = poly_to_text(data.e1_units[other], names)
+        witnesses.append(f"d/d{names[j]} = u * ({names[other]} - 1) * delta with u = {unit}")
+    return CheckReport(name, "pass", tuple(witnesses))
 
 
 def check_fundamental_identity(data: AlexanderData) -> CheckReport:

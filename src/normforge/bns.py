@@ -145,64 +145,44 @@ class Arc:
     full_circle: bool = False
 
 
+def _arc_sample(arc: Arc) -> Dir:
+    # The bisector of the arc; for a half-plane (antipodal ends) its normal.
+    if arc.full_circle:
+        return (1, 0)
+    if arc.start == (-arc.end[0], -arc.end[1]):
+        return (-arc.start[1], arc.start[0])
+    return primitive((arc.start[0] + arc.end[0], arc.start[1] + arc.end[1]))
+
+
 def interior_direction(cone: OpenCone) -> Dir | None:
     """Some primitive direction strictly inside a rank-2 cone, or None if empty."""
-    if len(cone.label) != 2:
-        raise ValueError("interior sampling is implemented for rank 2 only")
-    if not cone.constraints:
-        return (1, 0)
-    survivors = _boundary_candidates(cone)
-    candidates: list[Dir] = []
-    if survivors:
-        s = (sum(u[0] for u in survivors), sum(u[1] for u in survivors))
-        if s != (0, 0):
-            candidates.append(primitive(s))
-    candidates.extend(cone.constraints)
-    for c in candidates:
-        if all(_dot(c, d) > 0 for d in cone.constraints):
-            return primitive(c)
-    return None
-
-
-def _boundary_candidates(cone: OpenCone) -> list[Dir]:
-    # Boundary rays of the closed cone lie among the rotations of the
-    # constraint normals by ±90 degrees.
-    seen: set[Dir] = set()
-    out: list[Dir] = []
-    for d in cone.constraints:
-        for u in ((d[1], -d[0]), (-d[1], d[0])):
-            if u not in seen and all(_dot(u, c) >= 0 for c in cone.constraints):
-                seen.add(u)
-                out.append(u)
-    return out
+    arc = cone_arc(cone)
+    return None if arc is None else _arc_sample(arc)
 
 
 def cone_arc(cone: OpenCone) -> Arc | None:
-    """The open arc a rank-2 cone cuts on the circle; None when the cone is empty."""
+    """The open arc a rank-2 cone cuts on the circle; None when the cone is empty.
+
+    The arc runs from the one clockwise turn (d_1, -d_0) of a constraint d
+    in every closed half-plane to the one such counterclockwise turn
+    (-d_1, d_0); it is kept only if its bisector is strictly inside.
+    """
     if len(cone.label) != 2:
         raise ValueError("arcs exist in rank 2 only")
     if not cone.constraints:
         return Arc((1, 0), (1, 0), full_circle=True)
-    s = interior_direction(cone)
-    if s is None:
-        return None
-    survivors = _boundary_candidates(cone)
-    cw = [u for u in survivors if _cross(u, s) > 0]
-    ccw = [u for u in survivors if _cross(s, u) > 0]
-    if not (cw and ccw):
-        raise ArithmeticError(
-            f"cone arc: interior direction {s} of the cone {cone.label} has boundary "
-            f"candidates {survivors} on one side only"
+
+    def boundary(turns: Iterable[Dir]) -> Dir | None:
+        return next(
+            (u for u in turns if all(_dot(u, c) >= 0 for c in cone.constraints)), None
         )
-    start = cw[0]
-    for u in cw[1:]:
-        if _cross(start, u) > 0:
-            start = u
-    end = ccw[0]
-    for u in ccw[1:]:
-        if _cross(u, end) > 0:
-            end = u
-    return Arc(primitive(start), primitive(end))
+
+    start = boundary((d[1], -d[0]) for d in cone.constraints)
+    end = boundary((-d[1], d[0]) for d in cone.constraints)
+    if start is None or end is None:
+        return None
+    arc = Arc(start, end)
+    return arc if cone_contains(cone, _arc_sample(arc)) else None
 
 
 def direction_in_arc(d: Dir, arc: Arc, closed: bool = False) -> bool:
@@ -345,11 +325,7 @@ def _compare_rank2(
     arc_in = cone_arc(inner)
     if arc_in is None:
         return ComponentComparison(inner.label, "empty", None, None, True)
-    sample = interior_direction(inner)
-    if sample is None:
-        raise ArithmeticError(
-            f"containment: the cone {inner.label} has an arc but no interior direction"
-        )
+    sample = _arc_sample(arc_in)
     host = next(
         (c for c in outer_components if cone_contains(c, sample)), None
     )

@@ -33,7 +33,6 @@ orientation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .alexander import alexander_data
 from .laurent import (
@@ -150,46 +149,6 @@ def is_n_cycle(b: BraidWord) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _generator_matrix(n: int, index: int, sign: int) -> list[list[LaurentPoly]]:
-    dim = n - 1
-    t = LaurentPoly.variable(1, 0)
-    tinv = LaurentPoly.monomial(1, (-1,))
-    one = LaurentPoly.one(1)
-    zero = LaurentPoly.zero(1)
-    m = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    i = index - 1  # 0-based row/col of the -t pivot
-    if sign > 0:
-        m[i][i] = -t
-        if i > 0:
-            m[i - 1][i] = t
-        if i < dim - 1:
-            m[i + 1][i] = one
-    else:
-        m[i][i] = -tinv
-        if i > 0:
-            m[i - 1][i] = one
-        if i < dim - 1:
-            m[i + 1][i] = tinv
-    return m
-
-
-def _mat_mul(
-    a: Sequence[Sequence[LaurentPoly]], b: Sequence[Sequence[LaurentPoly]]
-) -> list[list[LaurentPoly]]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentPoly.zero(a[0][0].nvars)
-            for k in range(n):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class BurauMatrix:
     """An (n-1) x (n-1) matrix over Z[t^±1]; invertible, det = ±t^k."""
@@ -219,8 +178,19 @@ def burau(b: BraidWord) -> BurauMatrix:
     one = LaurentPoly.one(1)
     zero = LaurentPoly.zero(1)
     m = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    # A generator differs from I in column i only, so right-multiplying by
+    # it rewrites that column: col_i <- l col_{i-1} + c col_i + r col_{i+1},
+    # (l, c, r) = (t, -t, 1) for sigma_i and (1, -t^-1, t^-1) for its inverse.
     for idx, sign in b.letters:
-        m = _mat_mul(m, _generator_matrix(b.strands, idx, sign))
+        i = idx - 1
+        shift = (sign,)
+        for row in m:
+            col = -row[i].shifted(shift)
+            if i > 0:
+                col = col + (row[i - 1].shifted(shift) if sign > 0 else row[i - 1])
+            if i < dim - 1:
+                col = col + (row[i + 1] if sign > 0 else row[i + 1].shifted(shift))
+            row[i] = col
     return BurauMatrix(b.strands, tuple(tuple(row) for row in m))
 
 

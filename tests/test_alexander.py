@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from normforge import alexander
+from normforge import alexander, laurent
 from normforge.alexander import (
     AlexanderMatrix,
     alexander_data,
@@ -265,10 +265,15 @@ class TestDeficiencyOneQuotient:
     @pytest.mark.parametrize("name", list(CERTIFIED))
     def test_matches_gcd_route(self, name):
         mat, minors = first_minors(CERTIFIED[name])
-        quotient = deficiency_one_quotient(mat, minors)
-        assert quotient is not None
+        quotient, units = deficiency_one_quotient(mat, minors)
         reference = gcd_many([g for g in minors if not g.is_zero()])
         assert quotient.terms == reference.terms
+        # Every minor is its unit witness times its binomial times Delta.
+        ab = mat.abelianization
+        for k, minor in enumerate(reversed(minors)):
+            binomial = LaurentPoly.monomial(ab.rank, ab.generator_image(k)) - 1
+            assert units[k].is_unit()
+            assert minor == units[k] * binomial * quotient
         assert alexander_data(CERTIFIED[name]).polynomial.terms == reference.terms
         pres = CERTIFIED[name]
         if len(pres.alphabet) == 2 and len(pres.relators) == 1:
@@ -328,23 +333,12 @@ class TestDeficiencyOneQuotient:
         assert gcd_many(minors) == LaurentPoly.variable(2, 0) - 1
         assert deficiency_one_quotient(mat, minors) is None
 
-    @pytest.mark.parametrize("name", ["link3.pres", "gamma_4", "relator_0", "commutator_5"])
-    def test_doctored_minors_have_no_certificate(self, name):
-        mat, minors = first_minors(CERTIFIED[name])
-        assert deficiency_one_quotient(mat, minors) is not None
-        for i in range(len(minors)):
-            doubled = list(minors)
-            doubled[i] = 2 * doubled[i]
-            assert deficiency_one_quotient(mat, doubled) is None
-        swaps = 0
-        for i in range(len(minors)):
-            for j in range(i + 1, len(minors)):
-                if not equal_up_to_unit(minors[i], minors[j]):
-                    swapped = list(minors)
-                    swapped[i], swapped[j] = swapped[j], swapped[i]
-                    assert deficiency_one_quotient(mat, swapped) is None
-                    swaps += 1
-        assert swaps > 0
+    def test_failed_division_contradicts_the_identity(self, monkeypatch):
+        # Fox's identity makes the division exact, so a failure is an
+        # arithmetic fault, not a reason to fall back to the gcd route.
+        monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
+        with pytest.raises(ArithmeticError, match="deficiency-one quotient"):
+            alexander_data(CERTIFIED["relator_0"])
 
 
 class TestSymmetry:
@@ -386,6 +380,15 @@ class TestE1Structure:
         assert check_e1_structure(alexander_data(presentation("a b", ["a b", "b a"]))).status == "unsupported"
         # 2 generators, 1 relator, but b_1 = 1 rather than 2.
         assert check_e1_structure(alexander_data(presentation("a b", ["a b"]))).status == "unsupported"
+
+    def test_reports_units_without_multiplying(self, section6, monkeypatch):
+        pres = (section6.presentation, presentation("a b", ["a b a^-1 b^-1"]))
+        data = [alexander_data(p) for p in pres]
+        calls = []
+        real = laurent._dict_mul
+        monkeypatch.setattr(laurent, "_dict_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert [check_e1_structure(d).status for d in data] == ["pass", "pass"]
+        assert calls == []
 
     def test_report_shape(self, section6):
         report = check_e1_structure(alexander_data(section6.presentation))

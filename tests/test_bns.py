@@ -200,6 +200,33 @@ class TestArcs:
         assert not direction_in_arc((0, -1), arc)
         assert not direction_in_arc((1, 0), arc)
 
+    def test_random_cones_against_a_direction_grid(self):
+        # Arc ends are turns of constraints with entries in -6..6, so a
+        # nonempty cone has its bisector (or normal) inside [-12, 12]^2.
+        grid = [d for d in ((x, y) for x in range(-13, 14) for y in range(-13, 14))
+                if d != (0, 0) and primitive(d) == d]
+        rng = random.Random(11)
+        empty = 0
+        for _ in range(300):
+            size, constraints = rng.randint(1, 4), set()
+            while len(constraints) < size:
+                d = (rng.randint(-6, 6), rng.randint(-6, 6))
+                if d != (0, 0):
+                    constraints.add(primitive(d))
+            cone = OpenCone((0, 0), tuple(sorted(constraints)))
+            arc = cone_arc(cone)
+            if arc is None:
+                empty += 1
+                assert interior_direction(cone) is None
+                assert not any(cone_contains(cone, d) for d in grid)
+                continue
+            for end in (arc.start, arc.end):
+                dots = [end[0] * c[0] + end[1] * c[1] for c in cone.constraints]
+                assert min(dots) == 0
+            assert cone_contains(cone, interior_direction(cone))
+            assert all(cone_contains(cone, d) == direction_in_arc(d, arc) for d in grid)
+        assert 0 < empty < 300
+
     def test_components_pairwise_disjoint(self):
         rng = random.Random(3)
         polys = [random_nonzero_poly(rng) for _ in range(40)]

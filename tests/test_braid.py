@@ -121,17 +121,36 @@ class TestBurau:
                 bab = burau(BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1))))
                 assert aba.entries == bab.entries
 
+    def test_generator_matrices(self):
+        # sigma_i differs from I in column i: t above, -t on, 1 below the
+        # diagonal; sigma_i^-1 has 1, -t^-1, t^-1 there.
+        one, zero, tinv = LaurentPoly.one(1), LaurentPoly.zero(1), LaurentPoly.monomial(1, (-1,))
+        for n in range(2, 6):
+            for i in range(n - 1):
+                for sign, column in ((1, (T, -T, one)), (-1, (one, -tinv, tinv))):
+                    dense = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
+                    for r, value in zip((i - 1, i, i + 1), column):
+                        if 0 <= r < n - 1:
+                            dense[r][i] = value
+                    m = burau(BraidWord(n, ((i + 1, sign),)))
+                    assert m.entries == tuple(tuple(row) for row in dense)
+
     def test_homomorphism(self):
         rng = random.Random(1)
-        from normforge.braid import _mat_mul
+
+        def dense_product(a, b):
+            return tuple(
+                tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), LaurentPoly.zero(1))
+                      for c in range(len(b[0])))
+                for r in range(len(a))
+            )
 
         for _ in range(25):
             n = rng.randint(2, 5)
             u = random_braid(rng, n=n, max_len=6)
             v = random_braid(rng, n=n, max_len=6)
             prod = burau(u * v)
-            split = _mat_mul(burau(u).entries, burau(v).entries)
-            assert prod.entries == tuple(tuple(row) for row in split)
+            assert prod.entries == dense_product(burau(u).entries, burau(v).entries)
 
     def test_determinant_is_unit(self):
         rng = random.Random(2)
