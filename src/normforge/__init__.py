@@ -28,10 +28,16 @@ a module ``__getattr__`` (PEP 562), so ``from normforge import
 LaurentPoly`` runs ``laurent`` only.  Before Python 3.12
 a lazy module's first access is not thread-safe; the package starts no
 threads.
+
+:class:`InvariantError` (from :mod:`.errors`, the one module the package
+runs on import) is what every library module raises when one of its own
+checks fails.
 """
 
 import importlib.util
 import sys
+
+from .errors import InvariantError
 
 __version__ = "0.1.0"
 
@@ -72,7 +78,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = list(_HOME)
+__all__ = ["InvariantError", *_HOME]
 
 
 def _lazy_module(name: str):

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
+from .errors import InvariantError
 from .laurent import (
     LaurentPoly,
     divide_exact,
@@ -50,8 +52,35 @@ from .words import (
 )
 
 
+def _fox_row(w: Word, ab: AbelianizationMap) -> list[LaurentPoly]:
+    """The derivatives dw/dx_j for every generator x_j, in one pass over w.
+
+    The letter x_j^±1 after the prefix u adds +u_bar (or -u_bar x_j_bar^-1)
+    to dw/dx_j alone, so each letter touches one entry of the row.
+    """
+    images = [ab.generator_image(j) for j in range(len(w.alphabet))]
+    inverses = [tuple([-x for x in v]) for v in images]
+    row: list[dict[tuple[int, ...], int]] = [{} for _ in images]
+    prefix = (0,) * ab.rank
+    for idx, sign in w.letters:
+        terms = row[idx]
+        if sign > 0:
+            c = terms.get(prefix, 0) + 1
+            prefix_next = tuple(map(add, prefix, images[idx]))
+        else:
+            prefix = tuple(map(add, prefix, inverses[idx]))
+            c = terms.get(prefix, 0) - 1
+            prefix_next = prefix
+        if c:
+            terms[prefix] = c
+        else:
+            del terms[prefix]
+        prefix = prefix_next
+    return [LaurentPoly._adopt(ab.rank, terms) for terms in row]
+
+
 def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> LaurentPoly:
-    """Free-differential derivative dw/dx in Z[ab(G)].
+    """Free-differential derivative dw/dx in Z[ab(G)]: x's entry of the Fox row of w.
 
     Satisfies d(uv)/dx = du/dx + u_bar * dv/dx, with d(x)/dx = 1 and
     d(x^-1)/dx = -x_bar^-1.
@@ -70,32 +99,7 @@ def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> Lauren
         target = next(i for i, g in enumerate(w.alphabet) if g.name == name)
     except StopIteration:
         raise ValueError(f"generator {name!r} is not in the alphabet") from None
-
-    rank = ab.rank
-    columns = [ab.generator_image(j) for j in range(len(w.alphabet))]
-    prefix = [0] * rank
-    terms: dict[tuple[int, ...], int] = {}
-
-    def bump(exps: tuple[int, ...], delta: int) -> None:
-        s = terms.get(exps, 0) + delta
-        if s:
-            terms[exps] = s
-        else:
-            terms.pop(exps, None)
-
-    for idx, sign in w.letters:
-        col = columns[idx]
-        if sign > 0:
-            if idx == target:
-                bump(tuple(prefix), 1)
-            for k in range(rank):
-                prefix[k] += col[k]
-        else:
-            for k in range(rank):
-                prefix[k] -= col[k]
-            if idx == target:
-                bump(tuple(prefix), -1)
-    return LaurentPoly(rank, terms)
+    return _fox_row(w, ab)[target]
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class AlexanderMatrix:
     """Abelianized Fox derivative matrix of a presentation.
 
     Construction checks Fox's fundamental identity for every relator and
-    raises ``ArithmeticError`` naming the relator and its residue.
+    raises :class:`InvariantError` naming the relator and its residue.
     """
 
     presentation: Presentation
@@ -120,27 +124,31 @@ class AlexanderMatrix:
 
     def __post_init__(self) -> None:
         # Fox's fundamental identity: sum_j (dr/dx_j)(x_j - 1) = 0 for each relator r.
+        # Each term c x^e of dr/dx_j adds c at e + v_j and -c at e to one residue.
         ab = self.abelianization
-        factors = [
-            LaurentPoly.monomial(ab.rank, ab.generator_image(j)) - 1 for j in range(self.ncols)
-        ]
+        images = [ab.generator_image(j) for j in range(self.ncols)]
         for i, row in enumerate(self.entries):
-            residue = sum(
-                (entry * factor for entry, factor in zip(row, factors)), LaurentPoly.zero(ab.rank)
-            )
-            if not residue.is_zero():
-                raise ArithmeticError(
-                    f"fundamental identity fails on relator {i}: residue {residue!r}"
+            residue: dict[tuple[int, ...], int] = {}
+            for entry, v in zip(row, images):
+                if not any(v):
+                    continue
+                for e, c in entry.terms.items():
+                    residue[e] = residue.get(e, 0) - c
+                    shifted = tuple(map(add, e, v))
+                    residue[shifted] = residue.get(shifted, 0) + c
+            if any(residue.values()):
+                witness = f"relator {i}: residue {LaurentPoly(ab.rank, residue)!r}"
+                raise InvariantError(
+                    "fundamental identity",
+                    witness,
+                    f"fundamental identity fails on {witness}",
                 )
 
 
 def alexander_matrix(p: Presentation) -> AlexanderMatrix:
     """Matrix of abelianized Fox derivatives of the relators."""
     ab = free_abelianization(p)
-    rows = tuple(
-        tuple(fox_derivative(r, g, ab) for g in p.alphabet) for r in p.relators
-    )
-    return AlexanderMatrix(p, ab, rows)
+    return AlexanderMatrix(p, ab, tuple(tuple(_fox_row(r, ab)) for r in p.relators))
 
 
 @dataclass(frozen=True)
@@ -202,9 +210,10 @@ def deficiency_one_quotient(
     M ((-1)^k D_k)_k = 0 put f and the signed minors on one line, so
     D_k = (-1)^(j+k) Q f_k with Q = D_j / f_j, for the j with v_j != 0 and
     D_j != 0 of fewest terms.  When two images are non-parallel their
-    binomials are coprime, so Q is exact (a failed division raises
-    ``ArithmeticError``) and E_1 = m * (Q).  Returns None for parallel
-    images and every shape other than s generators, s-1 relators, b_1 >= 2.
+    binomials are coprime, so Q is exact (a nonzero line sum in the
+    division raises :class:`InvariantError`) and E_1 = m * (Q).  Returns
+    None for parallel images and every shape other than s generators, s-1
+    relators, b_1 >= 2.
     """
     s = mat.ncols
     ab = mat.abelianization
@@ -222,9 +231,10 @@ def deficiency_one_quotient(
         return None
     q = divide_exact(by_column[j], LaurentPoly.monomial(ab.rank, base) - 1)
     if q is None:
-        raise ArithmeticError(
-            f"deficiency-one quotient: x^{base} - 1 does not divide the minor without "
-            f"column {j}, contradicting Fox's identity"
+        raise InvariantError(
+            "deficiency-one quotient",
+            f"x^{base} - 1 does not divide the minor without column {j}, "
+            "contradicting Fox's identity",
         )
     # normalize_unit(q) = sign * x^-shift * q, so q = sign * x^shift * Delta.
     shift = q.min_exponents()
@@ -327,7 +337,7 @@ def check_fundamental_identity(data: AlexanderData) -> CheckReport:
     """Report the Fox fundamental identity row by row.
 
     Every :class:`AlexanderMatrix` checks the identity when it is built
-    and raises ``ArithmeticError`` on a nonzero residue, so the matrix
+    and raises :class:`InvariantError` on a nonzero residue, so the matrix
     handed in has already passed it.
     """
     return CheckReport(

@@ -30,6 +30,7 @@ from math import gcd as _igcd
 from typing import Iterable, Sequence
 
 from .alexander import alexander_data
+from .errors import InvariantError
 from .laurent import LaurentPoly
 from .polytope import newton_polytope
 from .words import Presentation
@@ -268,8 +269,8 @@ def rank2_arcs(sigma: SigmaDescription) -> SphereArcs:
         nxt = ordered[(k + 1) % len(ordered)]
         mid = (d[0] + nxt[0], d[1] + nxt[1])
         if mid == (0, 0):
-            raise ArithmeticError(
-                f"circle complement: consecutive candidates {d} and {nxt} are antipodal"
+            raise InvariantError(
+                "circle complement", f"consecutive candidates {d} and {nxt} are antipodal"
             )
         if not covered(primitive(mid)):
             finite = False
@@ -333,8 +334,8 @@ def _compare_rank2(
         return ComponentComparison(inner.label, "not_contained", None, sample, True)
     arc_out = cone_arc(host)
     if arc_out is None:
-        raise ArithmeticError(
-            f"containment: the cone {host.label} contains {sample} but has no arc"
+        raise InvariantError(
+            "containment", f"the cone {host.label} contains {sample} but has no arc"
         )
     if arc_out.full_circle:
         if arc_in.full_circle:

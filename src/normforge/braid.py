@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alexander import alexander_data
+from .errors import InvariantError
 from .laurent import (
     LaurentPoly,
     exponent_map,
@@ -305,8 +306,11 @@ def mapping_torus_delta_fox(b: BraidWord) -> LaurentPoly:
     data = alexander_data(pres)
     ab = data.abelianization
     if ab.rank != 2 or ab.torsion:
-        raise ArithmeticError(
-            f"n-cycle mapping torus must have H_1 = Z^2, got rank {ab.rank} and torsion {ab.torsion}"
+        raise InvariantError(
+            "mapping-torus homology",
+            f"rank {ab.rank} and torsion {ab.torsion}",
+            "n-cycle mapping torus must have H_1 = Z^2, "
+            f"got rank {ab.rank} and torsion {ab.torsion}",
         )
     x1 = Word(pres.alphabet, [(0, 1)])
     s = Word(pres.alphabet, [(len(pres.alphabet) - 1, 1)])
@@ -314,8 +318,10 @@ def mapping_torus_delta_fox(b: BraidWord) -> LaurentPoly:
     c2 = ab.image(s)
     det = c1[0] * c2[1] - c1[1] * c2[0]
     if abs(det) != 1:
-        raise ArithmeticError(
-            f"puncture and suspension classes {c1}, {c2} are not a basis (determinant {det})"
+        raise InvariantError(
+            "mapping-torus basis",
+            f"classes {c1}, {c2} have determinant {det}",
+            f"puncture and suspension classes {c1}, {c2} are not a basis (determinant {det})",
         )
     # Inverse of the column matrix [c1 c2]: det * adjugate, exact over Z.
     inv = [

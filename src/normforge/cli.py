@@ -8,7 +8,9 @@ example (see ``normforge examples``).
 
 Exit status: 0 on success, 1 when the computation raises a flag (a
 degenerate polynomial, an unsupported presentation shape, a failed
-containment), 2 on input errors, which carry line diagnostics.
+containment) or one of the library's own checks fails (one stderr line,
+``invariant failed: <stage>: <witness>``), 2 on input errors, which
+carry line diagnostics.
 
 Reports that print unit-class quantities also print the normalization
 and variable conventions in use, so golden outputs are self-describing.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 # Library modules are bound, not their names: a module's code runs only
 # when a command first calls into it (see the package docstring).
-from . import __version__, alexander, bns, braid, brown, laurent, polytope, words
+from . import InvariantError, __version__, alexander, bns, braid, brown, laurent, polytope, words
 
 _NORMALIZATION_NOTE = (
     "per-variable minimum exponent 0; leading coefficient positive (descending lex)"
@@ -565,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
         return INPUT_EXIT
     except CommandFlag as exc:
         print(f"flag: {exc}", file=sys.stderr)
+        return FLAG_EXIT
+    except InvariantError as exc:
+        print(f"invariant failed: {exc.stage}: {exc.witness}", file=sys.stderr)
         return FLAG_EXIT
 
 

@@ -16,6 +16,12 @@ polynomials) are normalized by shifting exponents so that each
 variable's minimum exponent is 0 and then making the leading
 (lex-largest) coefficient positive; see :func:`normalize_unit`.
 
+Exact division by a unit binomial ±x^a (x^v - 1), the divisor of the
+deficiency-one Alexander polynomial, runs line by line along the cosets
+e + Zv: the quotient is minus the running sum of the dividend along each
+line, and exists iff every line sums to zero.  Every other divisor takes
+long division, with the remainder's exponents in a heap.
+
 The gcd is computed by clearing monomial content and then running a
 primitive polynomial remainder sequence in Z[x_1, ..., x_n], recursing
 on the number of variables (content and primitive part are taken with
@@ -29,6 +35,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from operator import add
 from typing import Mapping, Sequence
+
+from .errors import InvariantError
 
 Exponents = tuple[int, ...]
 Terms = dict[Exponents, int]
@@ -64,6 +72,16 @@ class LaurentPoly:
                     clean[tuple(exps)] = coeff
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _adopt(cls, nvars: int, terms: Terms) -> "LaurentPoly":
+        # Takes ``terms`` as they are, without the copy and checks of __init__:
+        # the caller guarantees tuple keys of length nvars, nonzero coefficients,
+        # and that it keeps no other reference to the dict.
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # --- constructors ---
 
@@ -324,10 +342,58 @@ def _dict_div_exact(num: Terms, den: Terms) -> Terms | None:
     return quo
 
 
+def _unit_binomial(d: Terms) -> tuple[Exponents, Exponents] | None:
+    # (a, v) with d = x^a (x^v - 1), if d is ±x^a (x^v - 1) for some a and v != 0.
+    if len(d) != 2:
+        return None
+    (e1, c1), (e2, c2) = d.items()
+    if c1 + c2 or abs(c1) != 1:
+        return None
+    top, a = (e1, e2) if c1 == 1 else (e2, e1)
+    return a, tuple([x - y for x, y in zip(top, a)])
+
+
+def _divide_by_binomial(num: Terms, a: Exponents, v: Exponents) -> Terms | None:
+    # p / (x^a (x^v - 1)) for p = num, line by line.  On each lattice line
+    # e + Zv, p = (x^v - 1) q reads p_e = q_{e-v} - q_e, so q_e = q_{e-v} - p_e
+    # is minus the running sum of p along the line, and q exists iff every
+    # line sums to zero.  A line is keyed by its point whose coordinate i (the
+    # first with v_i != 0) is e_i mod v_i, and e sits k = e_i // v_i steps of v
+    # beyond it.  All sums are checked before any term is written.
+    i = next(j for j, x in enumerate(v) if x)
+    vi = v[i]
+    lines: dict[Exponents, dict[int, int]] = {}
+    for e, c in num.items():
+        k = e[i] // vi
+        key = tuple([x - k * y for x, y in zip(e, v)])
+        line = lines.get(key)
+        if line is None:
+            lines[key] = {k: c}
+        else:
+            line[k] = c
+    if any(sum(line.values()) for line in lines.values()):
+        return None
+    # q's term k steps along the line, times x^-a, in its final coordinates.
+    quo: Terms = {}
+    for key, line in lines.items():
+        base = tuple([x - y for x, y in zip(key, a)])
+        steps = sorted(line)
+        s = 0
+        for k, nxt in zip(steps, steps[1:]):
+            s -= line[k]
+            if s:
+                for t in range(k, nxt):
+                    quo[tuple([x + t * y for x, y in zip(base, v)])] = s
+    return quo
+
+
 def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """The exact quotient p / d in the Laurent ring, or None if d does not divide p.
 
-    The quotient is unique when it exists (the ring is a domain).
+    The quotient is unique when it exists (the ring is a domain).  A unit
+    binomial ±x^a (x^v - 1) divides line by line along e + Zv in time
+    linear in p and the quotient; every other divisor takes the heap-ordered
+    long division.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> q = divide_exact(a**2 * b - a * b - a + 1, a - 1)
@@ -342,6 +408,10 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
+    binomial = _unit_binomial(d.terms)
+    if binomial is not None:
+        quo = _divide_by_binomial(p.terms, *binomial)
+        return None if quo is None else LaurentPoly._adopt(p.nvars, quo)
     # Shift both to ordinary polynomials with per-variable min exponent 0;
     # exactness is unaffected because monomials are units.
     mp = p.min_exponents()
@@ -446,8 +516,8 @@ def _divide_coeffs(split: dict[int, Terms], content: Terms) -> dict[int, Terms]:
     for k, coeff in split.items():
         q = _dict_div_exact(coeff, content)
         if q is None:
-            raise ArithmeticError(
-                f"gcd: content {content} does not divide the coefficient {coeff} of degree {k}"
+            raise InvariantError(
+                "gcd", f"content {content} does not divide the coefficient {coeff} of degree {k}"
             )
         out[k] = q
     return out

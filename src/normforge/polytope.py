@@ -5,8 +5,10 @@ derived quantity (centers, dual vertices, norms) is a ``Fraction``.  No
 floating point is used, so face and cone comparisons downstream are
 exact equalities.
 
-Convex hulls are computed by a monotone chain in dimension <= 2 and, in
-higher dimension, by Clarkson's output-sensitive extreme-point loop
+Convex hulls are computed in dimension <= 2 by a monotone chain over
+the leftmost and rightmost point of each row (a point strictly between
+two others on a horizontal line is never a vertex) and, in higher
+dimension, by Clarkson's output-sensitive extreme-point loop
 (FOCS 1994): one linear program per point against the vertices found so
 far, solved by integer-preserving simplex pivots, each outcome checked
 against its solution or Farkas certificate.  Lower-dimensional point
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantError
 from .laurent import LaurentPoly
 
 Point = tuple[int, ...]
@@ -31,14 +34,25 @@ QVec = tuple[Fraction, ...]
 # --------------------------------------------------------------------------
 
 
-def _hull_2d(points: list[Point]) -> list[Point]:
-    """Extreme points of a planar point set, counterclockwise from the lex-min.
+def _hull_2d(points: set[Point]) -> list[Point]:
+    """Extreme points of a set of distinct planar points, counterclockwise from the lex-min.
 
-    Monotone chain with strict turns, so collinear non-extreme points are
-    dropped; degenerate (collinear or single-point) inputs yield the
-    endpoints only.
+    A point strictly between two others on a horizontal line is never a
+    vertex, so only each row's leftmost and rightmost points are sorted
+    and go into the monotone chain.  The chain takes strict turns, so
+    collinear non-extreme points are dropped; degenerate (collinear or
+    single-point) inputs yield the endpoints only.
     """
-    pts = sorted(set(points))
+    rows: dict[int, list[int]] = {}
+    for x, y in points:
+        ends = rows.get(y)
+        if ends is None:
+            rows[y] = [x, x]
+        elif x < ends[0]:
+            ends[0] = x
+        elif x > ends[1]:
+            ends[1] = x
+    pts = sorted({(x, y) for y, ends in rows.items() for x in ends})
     if len(pts) <= 2:
         return pts
 
@@ -55,10 +69,7 @@ def _hull_2d(points: list[Point]) -> list[Point]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:  # all points collinear
-        return sorted(set(hull))
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def point_in_hull(v: Sequence[int | Fraction], points: Sequence[Point]) -> bool:
@@ -96,11 +107,11 @@ def _lp_feasible(rows: list[list[int]]) -> tuple[bool, list[int], int]:
         if d <= 0 or any(x < 0 for x in vector) or any(
             sum(a * x for a, x in zip(row, vector)) != d * row[n] for row in rows
         ):
-            raise ArithmeticError(f"linear program: {vector}/{d} does not solve A x = b, x >= 0")
+            raise InvariantError("linear program", f"{vector}/{d} does not solve A x = b, x >= 0")
     elif sum(y * row[n] for y, row in zip(vector, rows)) <= 0 or any(
         sum(y * row[j] for y, row in zip(vector, rows)) > 0 for j in range(n)
     ):
-        raise ArithmeticError(f"linear program: {vector} is not a Farkas vector (y A <= 0 < y b)")
+        raise InvariantError("linear program", f"{vector} is not a Farkas vector (y A <= 0 < y b)")
     return feasible, vector, d
 
 
@@ -142,7 +153,7 @@ def _simplex(rows: list[list[int]]) -> tuple[bool, list[int], int]:
                           < (tab[leave][-1] * a, basis[leave])):
                 leave = r
         if leave is None:
-            raise ArithmeticError("linear program: phase-1 objective is unbounded")
+            raise InvariantError("linear program", "phase-1 objective is unbounded")
         pivot_row = tab[leave]
         p = pivot_row[enter]
         for r, row in enumerate(tab):
@@ -169,17 +180,17 @@ def hull_vertices(points: Sequence[Point]) -> list[Point]:
     lexicographically smallest vertex; higher dimensions give the extreme
     points in lexicographic order.
     """
-    pts = sorted(set(tuple(p) for p in points))
-    if not pts:
+    distinct = set(map(tuple, points))
+    if not distinct:
         return []
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(next(iter(distinct)))
+    if any(len(p) != dim for p in distinct):
         raise ValueError("points must share one ambient dimension")
-    if dim <= 1 or len(pts) == 1:
-        ends = [pts[0], pts[-1]]
-        return [pts[0]] if pts[0] == pts[-1] else ends
     if dim == 2:
-        return _hull_2d(pts)
+        return _hull_2d(distinct)
+    pts = sorted(distinct)
+    if dim <= 1 or len(pts) == 1:
+        return [pts[0]] if len(pts) == 1 else [pts[0], pts[-1]]
     # Clarkson's output-sensitive loop: ``found`` holds vertices only, and
     # each LP either puts p in their hull or returns a direction c with
     # c.p > c.q for every found q; the lex-greatest maximiser of c over all
@@ -361,9 +372,10 @@ def dual_ball(poly: LatticePolytope) -> NormBall:
         for phi in corner:
             for v in cycle:
                 if sum(phi[i] * normals[v][i] for i in range(2)) > half:
-                    raise ArithmeticError(
-                        f"dual_ball: dual vertex ({', '.join(map(str, phi))}) violates "
-                        f"the supporting inequality of hull vertex {v}"
+                    raise InvariantError(
+                        "dual_ball",
+                        f"dual vertex ({', '.join(map(str, phi))}) violates "
+                        f"the supporting inequality of hull vertex {v}",
                     )
         start = min(range(n), key=lambda k: corner[k])
         vertices = tuple(corner[(start + k) % n] for k in range(n))

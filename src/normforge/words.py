@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InvariantError
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
@@ -329,9 +331,10 @@ def smith_normal_form(
             if d[i][i] < 0:
                 negate_row(i)
             if not d[i][i] or d[i][i + 1] % d[i][i]:
-                raise ArithmeticError(
-                    f"Smith normal form: pivot {d[i][i]} at ({i}, {i}) does not divide "
-                    f"the entry {d[i][i + 1]} beside it"
+                raise InvariantError(
+                    "Smith normal form",
+                    f"pivot {d[i][i]} at ({i}, {i}) does not divide "
+                    f"the entry {d[i][i + 1]} beside it",
                 )
             add_col(i, i + 1, -(d[i][i + 1] // d[i][i]))
             if d[i + 1][i + 1] < 0:
@@ -388,8 +391,8 @@ def free_abelianization(p: Presentation) -> AbelianizationMap:
     for k, w in enumerate(p.relators):
         image = m.image(w)
         if any(image):
-            raise ArithmeticError(
-                f"free abelianization: relator {k} projects to {image}, not to zero"
+            raise InvariantError(
+                "free abelianization", f"relator {k} projects to {image}, not to zero"
             )
     return m
 

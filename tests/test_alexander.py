@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from normforge import alexander, laurent
+from normforge import InvariantError, alexander, laurent
 from normforge.alexander import (
     AlexanderMatrix,
     alexander_data,
@@ -88,6 +88,32 @@ class TestFoxDerivative:
         assert qa is not None and qa.is_unit()
         assert qb is not None and qb.is_unit()
 
+    def test_one_pass_row_against_the_definition(self):
+        # Reference: dw/dx_j = sum over the letters x_j^e of w = u x_j^e v of
+        # +ab(u) for e = 1 and -ab(u x_j^-1) for e = -1, each prefix
+        # abelianized anew.  The maps are random integer matrices
+        # of rank 1-3, so generators may be zero, equal or dependent.
+        rng = random.Random(8)
+        for _ in range(120):
+            s = rng.randint(2, 5)
+            alphabet = make_alphabet(" ".join("abcde"[:s]))
+            rank = rng.randint(1, 3)
+            matrix = tuple(tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(rank))
+            ab = AbelianizationMap(alphabet, rank, matrix, ())
+            w = random_word(rng, alphabet, max_len=30)
+            row = alexander._fox_row(w, ab)
+            assert len(row) == s
+            for j, g in enumerate(alphabet):
+                expected = LaurentPoly.zero(rank)
+                for pos, (idx, sign) in enumerate(w.letters):
+                    if idx == j:
+                        end = pos + 1 if sign < 0 else pos
+                        prefix = ab.image(Word(alphabet, w.letters[:end]))
+                        expected += LaurentPoly.monomial(rank, prefix, sign)
+                assert row[j] == expected
+                assert fox_derivative(w, g, ab) == row[j]
+                assert fox_derivative(w, g.name, ab) == row[j]
+
     def test_unknown_generator(self, free_ab2):
         with pytest.raises(ValueError, match="not in the alphabet"):
             fox_derivative(parse_word("a", AB), "z", free_ab2)
@@ -117,12 +143,15 @@ class TestAlexanderMatrix:
             assert report.status == "pass"
 
     def test_doctored_matrix_fails_the_identity(self):
-        # Doubling dr/da leaves the residue (b - 1)(a - 1) on relator 0;
+        # Doubling dr/da leaves the residue (1 - b)(a - 1) on relator 0;
         # the check is an explicit raise, so it also runs under python -O.
         mat = alexander_matrix(presentation("a b", ["a b a^-1 b^-1"]))
         (row,) = mat.entries
-        with pytest.raises(ArithmeticError, match="fundamental identity fails on relator 0: residue"):
+        message = "fundamental identity fails on relator 0: residue"
+        with pytest.raises(InvariantError, match=message) as caught:
             AlexanderMatrix(mat.presentation, mat.abelianization, ((2 * row[0], row[1]),))
+        assert caught.value.stage == "fundamental identity"
+        assert caught.value.witness == "relator 0: residue LaurentPoly(2, '-x*y + x + y - 1')"
 
 
 class TestElementaryIdeals:
@@ -337,8 +366,10 @@ class TestDeficiencyOneQuotient:
         # Fox's identity makes the division exact, so a failure is an
         # arithmetic fault, not a reason to fall back to the gcd route.
         monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
-        with pytest.raises(ArithmeticError, match="deficiency-one quotient"):
+        with pytest.raises(InvariantError, match="deficiency-one quotient") as caught:
             alexander_data(CERTIFIED["relator_0"])
+        assert caught.value.stage == "deficiency-one quotient"
+        assert "contradicting Fox's identity" in caught.value.witness
 
 
 class TestSymmetry:

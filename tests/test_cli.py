@@ -251,6 +251,27 @@ class TestCheckCommand:
         assert "e1_structure: unsupported" in out
 
 
+class TestInvariantFailure:
+    def test_contradiction_exits_1_with_one_line(self, capsys, monkeypatch):
+        # A division that Fox's identity makes exact cannot fail; force it.
+        monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
+        status, out, err = run(capsys, "alexander", "@section6.pres")
+        assert status == 1
+        assert out == ""
+        assert err == (
+            "invariant failed: deficiency-one quotient: x^(1, 0) - 1 does not divide "
+            "the minor without column 0, contradicting Fox's identity\n"
+        )
+
+    def test_other_errors_still_raise(self, monkeypatch):
+        def broken(p, d):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(alexander, "divide_exact", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["alexander", "@section6.pres"])
+
+
 class TestInputHandling:
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -143,6 +143,104 @@ class TestDivideExact:
         assert refused > 50
 
 
+def heap_quotient(p, d, kernel=laurent._dict_div_exact):
+    """p / d by the heap-ordered long division alone: the reference for the line-sum route.
+
+    ``kernel`` is bound at definition, so counting the module's calls does not see these.
+    """
+    if p.is_zero():
+        return p
+    mp, md = p.min_exponents(), d.min_exponents()
+    num = {tuple(a - b for a, b in zip(e, mp)): c for e, c in p.terms.items()}
+    den = {tuple(a - b for a, b in zip(e, md)): c for e, c in d.terms.items()}
+    quo = kernel(num, den)
+    if quo is None:
+        return None
+    return LaurentPoly(p.nvars, quo).shifted(tuple(a - b for a, b in zip(mp, md)))
+
+
+def count_heap_divisions(monkeypatch) -> list:
+    calls = []
+    original = laurent._dict_div_exact
+
+    def counted(num, den):
+        calls.append(den)
+        return original(num, den)
+
+    monkeypatch.setattr(laurent, "_dict_div_exact", counted)
+    return calls
+
+
+# Steps v of the binomial x^v - 1: zero, negative and non-primitive entries.
+STEPS = [(1,), (-2,), (3,), (1, 0), (0, 1), (0, 2), (-1, 3), (2, -2), (0, -1),
+         (1, 0, 0), (0, 0, -2), (1, -1, 2), (0, 3, 0), (-2, 0, 4)]
+
+
+class TestBinomialDivision:
+    """Division by a unit binomial ±x^a (x^v - 1) runs line by line, not by the heap."""
+
+    def divisors(self, rng):
+        for v in STEPS:
+            for sign in (1, -1):
+                a = tuple(rng.randint(-3, 3) for _ in v)
+                top = tuple(x + y for x, y in zip(a, v))
+                yield LaurentPoly(len(v), {top: sign, a: -sign})
+
+    def test_matches_the_heap_route_term_for_term(self, monkeypatch):
+        rng = random.Random(5)
+        calls = count_heap_divisions(monkeypatch)
+        refused = 0
+        for _ in range(6):
+            for d in self.divisors(rng):
+                n = d.nvars
+                q = random_poly(rng, nvars=n, max_terms=12, span=4)
+                p = q * d
+                got = divide_exact(p, d)
+                assert got is not None and got.terms == q.terms
+                # One extra term changes its line's sum, so p + r is no multiple.
+                r = random_nonzero(rng, nvars=n, max_terms=1, span=6)
+                assert divide_exact(p + r, d) is None
+                refused += 1
+                other = random_poly(rng, nvars=n, max_terms=8, span=4)
+                got = divide_exact(other, d)
+                expected = heap_quotient(other, d)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got.terms == expected.terms
+        assert refused == 6 * 2 * len(STEPS)
+        assert calls == []
+
+    def test_quotient_with_gaps_along_a_line(self, monkeypatch):
+        calls = count_heap_divisions(monkeypatch)
+        # (a - 1)(1 + a^1000): the running sum is zero between the two pieces.
+        p = (A - 1) * (1 + A ** 1000) * B
+        assert divide_exact(p, A - 1) == (1 + A ** 1000) * B
+        assert divide_exact(p, 1 - A) == -(1 + A ** 1000) * B
+        assert divide_exact(A ** 12 - 1, A ** 3 - 1) == 1 + A ** 3 + A ** 6 + A ** 9
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "p, d",
+        [
+            ((A - 1) * (A * B + 3), 2 * A - 2),
+            ((A + 1) * (B - 2), A + 1),
+            ((A ** 2 * B ** -1 + 1) * (A - B), A ** 2 * B ** -1 + 1),
+            ((A - 1) * (B + 1), 3 * (A - 1)),
+            (A * B - 1, 2 * A - 2),
+            ((A - 1) * (B + A), A - 1 + B),
+            (5 * A ** 3 * B, -(A ** 2)),
+        ],
+    )
+    def test_other_divisors_keep_the_heap_route(self, monkeypatch, p, d):
+        calls = count_heap_divisions(monkeypatch)
+        expected = heap_quotient(p, d)
+        got = divide_exact(p, d)
+        assert len(calls) == 1
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.terms == expected.terms and got * d == p
+
+
 class TestGcd:
     def test_monomial_case_against_integer_oracle(self):
         # For monomial inputs c*x^e, d*x^f every monomial is a unit, so a

@@ -114,6 +114,55 @@ def higher_dim_corpus(seed=21, count=60):
     return corpus
 
 
+def planar_row_corpus(seed=23, count=120, per_row=50):
+    """Planar sets by rows of 1..per_row points: random rows, whole rows repeated
+    (also at another height), one row, one column, and diagonal collinear sets;
+    duplicates kept."""
+    rng = random.Random(seed)
+    corpus = []
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:  # random rows
+            pts = [(rng.randint(-30, 30), y) for y in rng.sample(range(-6, 7), rng.randint(1, 5))
+                   for _ in range(rng.randint(1, per_row))]
+        elif kind == 1:  # one row's x values at several heights, and the row itself twice
+            xs = [rng.randint(-20, 20) for _ in range(rng.randint(1, per_row))]
+            ys = rng.sample(range(-4, 5), rng.randint(1, 3))
+            pts = [(x, y) for y in ys for x in xs] + [(x, ys[0]) for x in xs]
+        elif kind == 2:  # one row
+            y = rng.randint(-3, 3)
+            pts = [(rng.randint(-9, 9), y) for _ in range(rng.randint(1, per_row))]
+        elif kind == 3:  # one column
+            x = rng.randint(-3, 3)
+            pts = [(x, rng.randint(-9, 9)) for _ in range(rng.randint(1, per_row))]
+        else:  # a diagonal line, with duplicates
+            u = (rng.randint(1, 3), rng.choice([-3, -2, -1, 1, 2, 3]))
+            pts = [(t * u[0], t * u[1]) for t in (rng.randint(-5, 5) for _ in range(per_row))]
+        rng.shuffle(pts)
+        corpus.append(pts)
+    return corpus
+
+
+def monotone_chain(points):
+    """Counterclockwise hull from the lex-min over every distinct point, no pruning."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chain = []
+    for sweep in (pts, pts[::-1]):
+        half = []
+        for p in sweep:
+            while len(half) >= 2 and cross(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        chain += half[:-1]
+    return chain
+
+
 def random_equality_systems(seed=22, count=400):
     rng = random.Random(seed)
     for _ in range(count):
@@ -152,6 +201,20 @@ class TestHull:
     def test_higher_dimensions_match_oracle(self):
         for pts in higher_dim_corpus():
             assert hull_vertices(pts) == extreme_points_oracle(sorted(set(pts)))
+
+    def test_planar_rows_against_the_full_chain(self):
+        for pts in planar_row_corpus():
+            assert hull_vertices(pts) == monotone_chain(pts)
+
+    def test_planar_rows_against_the_oracle(self):
+        for pts in planar_row_corpus(seed=24, count=40, per_row=3):
+            hull = hull_vertices(pts)
+            assert sorted(hull) == extreme_points_oracle(sorted(set(pts)))
+            assert hull[0] == min(pts)
+            if len(hull) >= 3:  # strictly counterclockwise at every corner
+                for k in range(len(hull)):
+                    o, a, b = hull[k - 2], hull[k - 1], hull[k]
+                    assert (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
 
     def test_collinear(self):
         assert hull_vertices([(0, 0), (1, 1), (2, 2), (3, 3)]) == [(0, 0), (3, 3)]

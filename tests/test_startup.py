@@ -81,7 +81,7 @@ def test_public_names_resolve_to_the_defining_module():
         exec(f"from normforge import {name}", namespace)
         obj = namespace[name]
         home = sys.modules[obj.__module__]
-        assert obj.__module__ in {f"normforge.{m}" for m in LIBRARY}, name
+        assert obj.__module__ in {f"normforge.{m}" for m in LIBRARY + ("errors",)}, name
         assert getattr(home, name) is obj, name
         assert getattr(normforge, obj.__module__.split(".")[1]) is home, name
     assert set(normforge.__all__) <= set(dir(normforge))
