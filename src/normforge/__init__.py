@@ -51,7 +51,7 @@ _EXPORTS = {
     "laurent": (
         "LaurentPoly", "divide_exact", "equal_up_to_unit", "gcd", "gcd_many",
         "invert_variables", "normalize_unit", "parse_poly", "poly_matrix_det", "poly_to_text",
-        "substitute", "unit_inverse", "unit_quotient",
+        "split_unit", "substitute", "unit_inverse", "unit_quotient",
     ),
     "alexander": (
         "AlexanderData", "AlexanderMatrix", "CheckReport", "ElementaryIdealGens",

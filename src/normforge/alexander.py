@@ -39,9 +39,9 @@ from .laurent import (
     equal_up_to_unit,
     gcd_many,
     invert_variables,
-    normalize_unit,
     poly_matrix_det,
     poly_to_text,
+    split_unit,
 )
 from .words import (
     AbelianizationMap,
@@ -211,9 +211,10 @@ def deficiency_one_quotient(
     D_k = (-1)^(j+k) Q f_k with Q = D_j / f_j, for the j with v_j != 0 and
     D_j != 0 of fewest terms.  When two images are non-parallel their
     binomials are coprime, so Q is exact (a nonzero line sum in the
-    division raises :class:`InvariantError`) and E_1 = m * (Q).  Returns
-    None for parallel images and every shape other than s generators, s-1
-    relators, b_1 >= 2.
+    division raises :class:`InvariantError`) and E_1 = m * (Q).  With
+    (Delta, u) = split_unit(Q), so Q = u Delta, the units are
+    u_k = (-1)^(j+k) u.  Returns None for parallel images and every shape
+    other than s generators, s-1 relators, b_1 >= 2.
     """
     s = mat.ncols
     ab = mat.abelianization
@@ -236,13 +237,8 @@ def deficiency_one_quotient(
             f"x^{base} - 1 does not divide the minor without column {j}, "
             "contradicting Fox's identity",
         )
-    # normalize_unit(q) = sign * x^-shift * q, so q = sign * x^shift * Delta.
-    shift = q.min_exponents()
-    sign = 1 if q.leading()[1] > 0 else -1
-    units = tuple(
-        LaurentPoly.monomial(ab.rank, shift, sign * (-1) ** (j + k)) for k in range(s)
-    )
-    return normalize_unit(q), units
+    delta, unit = split_unit(q)
+    return delta, tuple(unit * (-1) ** (j + k) for k in range(s))
 
 
 def alexander_data(p: Presentation) -> AlexanderData:

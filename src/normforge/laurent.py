@@ -10,11 +10,18 @@ negative entries allowed) to nonzero integer coefficients.  The
 canonical printed form lists terms in descending lexicographic order of
 exponent vectors, e.g. ``a^2*b - a*b - a + 1``.
 
+Arithmetic on the term dicts has two kernels: ``_dict_add`` is the one
+addition loop, and ``_dict_mul`` multiply-accumulates a signed product
+into a dict it is handed (products, pseudo-remainders, determinant
+minors).  ``LaurentPoly(nvars, terms)`` checks and copies caller terms;
+every result built here from valid terms is taken by ``_adopt`` as is.
+
 The units of this ring are exactly the signed monomials ±x^v.
 Quantities that are only well defined up to a unit (gcds, Alexander
 polynomials) are normalized by shifting exponents so that each
-variable's minimum exponent is 0 and then making the leading
-(lex-largest) coefficient positive; see :func:`normalize_unit`.
+variable's minimum exponent is 0 (``_to_origin``, the one such shift)
+and then making the leading (lex-largest) coefficient positive;
+:func:`split_unit` also returns the unit it removed.
 
 Exact division by a unit binomial ±x^a (x^v - 1), the divisor of the
 deficiency-one Alexander polynomial, runs line by line along the cosets
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import InvariantError
@@ -129,14 +136,11 @@ class LaurentPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def coeff(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def min_exponents(self) -> Exponents:
         """Per-variable minimum exponent over the support (p must be nonzero)."""
         if not self.terms:
             raise ValueError("the zero polynomial has no exponent range")
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
+        return tuple(map(min, zip(*self.terms)))
 
     def augmentation(self) -> int:
         """Image under the ring map sending every variable to 1 (sum of coefficients)."""
@@ -147,9 +151,8 @@ class LaurentPoly:
         d = tuple(delta)
         if len(d) != self.nvars:
             raise ValueError("shift vector has wrong length")
-        return LaurentPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, d)): c for e, c in self.terms.items()},
+        return LaurentPoly._adopt(
+            self.nvars, {tuple(map(add, e, d)): c for e, c in self.terms.items()}
         )
 
     # --- ring structure ---
@@ -178,41 +181,34 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._adopt(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+    def _add(self, other: "LaurentPoly | int", sign: int) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._adopt(self.nvars, _dict_add(self.terms, o.terms, sign))
+
+    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return (-self) + other
+        return (-self)._add(other, 1)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._adopt(self.nvars, {e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly(self.nvars, _dict_mul(self.terms, o.terms))
+        return LaurentPoly._adopt(self.nvars, _dict_mul(self.terms, o.terms, {}))
 
     __rmul__ = __mul__
 
@@ -250,7 +246,30 @@ def unit_inverse(u: LaurentPoly) -> LaurentPoly:
     if not u.is_unit():
         raise ValueError("not a unit of the Laurent ring")
     (e, c), = u.terms.items()
-    return LaurentPoly(u.nvars, {tuple(-x for x in e): c})
+    return LaurentPoly._adopt(u.nvars, {tuple(-x for x in e): c})
+
+
+def _to_origin(p: LaurentPoly) -> tuple[Terms, Exponents]:
+    # p's terms times x^-m, where m is p's per-variable minimum exponent, and m.
+    m = p.min_exponents()
+    return {tuple(map(sub, e, m)): c for e, c in p.terms.items()}, m
+
+
+def split_unit(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """``(normalize_unit(p), u)`` with u a unit and p = u * normalize_unit(p); u = 1 for p = 0.
+
+    >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
+    >>> n, u = split_unit(-a**-1 * b + a**-1)
+    >>> print(poly_to_text(n, ("a", "b")), "|", poly_to_text(u, ("a", "b")))
+    b - 1 | -a^-1
+    """
+    if p.is_zero():
+        return p, LaurentPoly.one(p.nvars)
+    terms, m = _to_origin(p)
+    sign = 1 if terms[max(terms)] > 0 else -1
+    if sign < 0:
+        terms = {e: -c for e, c in terms.items()}
+    return LaurentPoly._adopt(p.nvars, terms), LaurentPoly._adopt(p.nvars, {m: sign})
 
 
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:
@@ -261,13 +280,7 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     nonzero polynomial has exactly one normalized associate, which makes
     golden values deterministic.
     """
-    if p.is_zero():
-        return p
-    shift = tuple(-m for m in p.min_exponents())
-    q = p.shifted(shift)
-    if q.leading()[1] < 0:
-        q = -q
-    return q
+    return split_unit(p)[0]
 
 
 def unit_quotient(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
@@ -277,23 +290,13 @@ def unit_quotient(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")
-    if p.is_zero() and q.is_zero():
-        return LaurentPoly.one(p.nvars)
     if p.is_zero() or q.is_zero():
+        return LaurentPoly.one(p.nvars) if p.is_zero() and q.is_zero() else None
+    (ep, cp), (eq, cq) = p.leading(), q.leading()
+    if abs(cq) != abs(cp):
         return None
-    (ep, cp) = p.leading()
-    (eq, cq) = q.leading()
-    if cq == cp:
-        sign = 1
-    elif cq == -cp:
-        sign = -1
-    else:
-        return None
-    shift = tuple(b - a for a, b in zip(ep, eq))
-    candidate = LaurentPoly(p.nvars, {shift: sign})
-    if candidate * p == q:
-        return candidate
-    return None
+    candidate = LaurentPoly._adopt(p.nvars, {tuple(map(sub, eq, ep)): cq // cp})
+    return candidate if candidate * p == q else None
 
 
 def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
@@ -414,15 +417,12 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         return None if quo is None else LaurentPoly._adopt(p.nvars, quo)
     # Shift both to ordinary polynomials with per-variable min exponent 0;
     # exactness is unaffected because monomials are units.
-    mp = p.min_exponents()
-    md = d.min_exponents()
-    num = {tuple(a - b for a, b in zip(e, mp)): c for e, c in p.terms.items()}
-    den = {tuple(a - b for a, b in zip(e, md)): c for e, c in d.terms.items()}
+    num, mp = _to_origin(p)
+    den, md = _to_origin(d)
     quo = _dict_div_exact(num, den)
     if quo is None:
         return None
-    shift = tuple(a - b for a, b in zip(mp, md))
-    return LaurentPoly(p.nvars, quo).shifted(shift)
+    return LaurentPoly._adopt(p.nvars, quo).shifted(tuple(map(sub, mp, md)))
 
 
 # --------------------------------------------------------------------------
@@ -449,27 +449,29 @@ def _join_last(split: dict[int, Terms]) -> Terms:
     return out
 
 
-def _dict_mul(a: Terms, b: Terms) -> Terms:
-    out: Terms = {}
+def _dict_add(a: Terms, b: Terms, sign: int) -> Terms:
+    # a + sign * b as a new dict; a sum that cancels always has a term to delete.
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _dict_mul(a: Terms, b: Terms, out: Terms, sign: int = 1) -> Terms:
+    # out += sign * a * b in place, and returns out; out must be neither a nor b.
     for e1, c1 in a.items():
+        c1 *= sign
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
             s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-    return out
-
-
-def _dict_sub(a: Terms, b: Terms) -> Terms:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+                del out[e]
     return out
 
 
@@ -498,7 +500,7 @@ def _poly_gcd(p: Terms, q: Terms, nvars: int) -> Terms:
         u, v = v, r
     g = _join_last(u)
     cont_embedded = {e + (0,): c for e, c in cont.items()}
-    return _dict_mul(g, cont_embedded)
+    return _dict_mul(g, cont_embedded, {})
 
 
 def _content(split: dict[int, Terms], nvars: int) -> Terms:
@@ -529,23 +531,17 @@ def _prem(u: dict[int, Terms], v: dict[int, Terms], nvars: int) -> dict[int, Ter
     # remainder sequence removes again.
     dv = max(v)
     lv = v[dv]
-    r = {k: dict(c) for k, c in u.items()}
+    r = dict(u)
     while r and max(r) >= dv:
         dr = max(r)
         lr = r.pop(dr)
-        new: dict[int, Terms] = {}
-        for k, c in r.items():
-            new[k] = _dict_mul(lv, c)
+        new = {k: _dict_mul(lv, c, {}) for k, c in r.items()}
         for k, c in v.items():
             if k == dv:
                 continue
             kk = k + dr - dv
-            prev = new.get(kk, {})
-            res = _dict_sub(prev, _dict_mul(lr, c))
-            if res:
-                new[kk] = res
-            else:
-                new.pop(kk, None)
+            if not _dict_mul(lr, c, new.setdefault(kk, {}), -1):
+                del new[kk]
         r = new
     return r
 
@@ -568,10 +564,8 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return normalize_unit(q)
     if q.is_zero():
         return normalize_unit(p)
-    a = p.shifted(tuple(-m for m in p.min_exponents())).terms
-    b = q.shifted(tuple(-m for m in q.min_exponents())).terms
-    g = _poly_gcd(dict(a), dict(b), p.nvars)
-    return normalize_unit(LaurentPoly(p.nvars, g))
+    g = _poly_gcd(_to_origin(p)[0], _to_origin(q)[0], p.nvars)
+    return normalize_unit(LaurentPoly._adopt(p.nvars, g))
 
 
 def gcd_many(polys: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -635,7 +629,7 @@ def substitute(p: LaurentPoly, images: Sequence[LaurentPoly]) -> LaurentPoly:
 
 def invert_variables(p: LaurentPoly) -> LaurentPoly:
     """Substitute x_i -> x_i^{-1} for every variable."""
-    return LaurentPoly(p.nvars, {tuple(-x for x in e): c for e, c in p.terms.items()})
+    return LaurentPoly._adopt(p.nvars, {tuple(-x for x in e): c for e, c in p.terms.items()})
 
 
 def exponent_map(p: LaurentPoly, matrix: Sequence[Sequence[int]]) -> LaurentPoly:
@@ -656,7 +650,7 @@ def exponent_map(p: LaurentPoly, matrix: Sequence[Sequence[int]]) -> LaurentPoly
             out[key] = s
         else:
             out.pop(key, None)
-    return LaurentPoly(target, out)
+    return LaurentPoly._adopt(target, out)
 
 
 # --------------------------------------------------------------------------
@@ -673,6 +667,9 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     (its length fixes ``r``).  Zero entries and zero minors are skipped.
     The cost is bounded by the number of column subsets reached, at most
     ``k * 2^k`` and far fewer on sparse matrices, instead of ``k!``.
+    Minors are term dicts: each signed product entry x sub-minor is
+    multiply-accumulated into its minor's dict in place, so no polynomial
+    is built until the determinant itself.
 
     >>> a = LaurentPoly.variable(1, 0)
     >>> print(poly_to_text(poly_matrix_det([[a, a], [a + 1, a]]), ("a",)))
@@ -684,10 +681,12 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     nvars = rows[0][0].nvars
-    mat = [list(r) for r in rows]
-    minors: dict[tuple[int, ...], LaurentPoly] = {}
+    if any(e.nvars != nvars for r in rows for e in r):
+        raise ValueError("variable count mismatch")
+    mat = [[e.terms for e in r] for r in rows]
+    minors: dict[tuple[int, ...], Terms] = {}
 
-    def minor(cols: tuple[int, ...]) -> LaurentPoly:
+    def minor(cols: tuple[int, ...]) -> Terms:
         k = len(cols)
         row = mat[n - k]
         if k == 1:
@@ -695,20 +694,19 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         found = minors.get(cols)
         if found is not None:
             return found
-        total = LaurentPoly.zero(nvars)
+        total: Terms = {}
         for pos, j in enumerate(cols):
             entry = row[j]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            if sub.is_zero():
-                continue
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
+            if entry:
+                below = minor(cols[:pos] + cols[pos + 1:])
+                if below:
+                    _dict_mul(entry, below, total, -1 if pos % 2 else 1)
         minors[cols] = total
         return total
 
-    return minor(tuple(range(n)))
+    det = minor(tuple(range(n)))
+    # A 1x1 minor is the entry's own dict, so it is copied, not adopted.
+    return LaurentPoly._adopt(nvars, dict(det) if n == 1 else det)
 
 
 # --------------------------------------------------------------------------
@@ -820,4 +818,4 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
             terms[key] = s
         else:
             terms.pop(key, None)
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly._adopt(nvars, terms)

@@ -130,11 +130,11 @@ class Word:
         return tuple(sums)
 
     def cyclically_reduced(self) -> "Word":
-        """Strip matching inverse letters from the two ends (conjugation)."""
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-            letters = letters[1:-1]
-        return Word(self.alphabet, letters)
+        """Strip matching inverse letters from the two ends (conjugation), in linear time."""
+        letters, n, k = self.letters, len(self.letters), 0
+        while n - 2 * k >= 2 and letters[k] == (letters[n - 1 - k][0], -letters[n - 1 - k][1]):
+            k += 1
+        return Word(self.alphabet, letters[k:n - k])
 
     def __str__(self) -> str:
         if not self.letters:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normforge import InvariantError, bns
 from normforge.bns import (
     Arc,
     OpenCone,
@@ -366,3 +367,29 @@ class TestCompareSigma:
                     host = next(c for c in outer.components if c.label == report.outer_label)
                     assert cone_contains(host, report.witness)
                     assert not cone_contains(cone, report.witness)
+
+
+class TestInvariantFailures:
+    """The two rank-2 checks no input reaches, forced by doctoring one helper."""
+
+    P = A**2 * B - A * B - A + 1
+
+    def test_antipodal_candidates_break_the_circle_complement(self, monkeypatch):
+        # A sort that skips every candidate between (1, 0) and its antipode.
+        monkeypatch.setattr(bns, "_angular_sort", lambda dirs: [(1, 0), (-1, 0)])
+        with pytest.raises(InvariantError) as caught:
+            rank2_arcs(sigma_principal(self.P))
+        assert caught.value.stage == "circle complement"
+        assert caught.value.witness == "consecutive candidates (1, 0) and (-1, 0) are antipodal"
+
+    def test_host_without_an_arc_breaks_the_containment(self, monkeypatch):
+        inner, outer = sigma_principal(self.P), sigma_principal(self.P)
+        host = outer.components[0]
+        sample = bns._arc_sample(cone_arc(inner.components[0]))
+        assert cone_contains(host, sample)
+        real = bns.cone_arc
+        monkeypatch.setattr(bns, "cone_arc", lambda c: None if c is host else real(c))
+        with pytest.raises(InvariantError) as caught:
+            compare_sigma(inner, outer)
+        assert caught.value.stage == "containment"
+        assert caught.value.witness == f"the cone {host.label} contains {sample} but has no arc"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normforge import InvariantError, braid
 from normforge.braid import (
     BraidWord,
     braid_action,
@@ -22,7 +23,7 @@ from normforge.laurent import (
     poly_to_text,
 )
 from normforge.polytope import newton_polytope
-from normforge.words import Word, free_abelianization
+from normforge.words import Word, free_abelianization, presentation
 
 T = LaurentPoly.variable(1, 0)
 
@@ -280,3 +281,21 @@ class TestMappingTorus:
         from normforge.polytope import alexander_norm
 
         assert alexander_norm(mapping_torus_delta(gamma(n)).poly, (1, 1)) == 0
+
+
+class TestFoxRouteInvariants:
+    """The Fox route's two H_1 checks, forced by a doctored mapping-torus presentation."""
+
+    @pytest.mark.parametrize("relators, stage, witness", [
+        (["a b a^-1 b^-1"], "mapping-torus homology", "rank 3 and torsion ()"),
+        # c = b^2: H_1 = Z^2, but x_1 = a and s = c span a sublattice of index 2.
+        (["c b^-2"], "mapping-torus basis", "classes (0, 1), (2, 0) have determinant -2"),
+    ])
+    def test_doctored_homology_is_refused(self, monkeypatch, relators, stage, witness):
+        pres = presentation("a b c", relators)
+        b = parse_braid("n=3: 1 2")
+        assert is_n_cycle(b)
+        monkeypatch.setattr(braid, "mapping_torus_presentation", lambda _: pres)
+        with pytest.raises(InvariantError) as caught:
+            mapping_torus_delta_fox(b)
+        assert (caught.value.stage, caught.value.witness) == (stage, witness)

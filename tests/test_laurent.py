@@ -8,6 +8,7 @@ from normforge.laurent import (
     LaurentPoly,
     divide_exact,
     equal_up_to_unit,
+    exponent_map,
     gcd,
     gcd_many,
     invert_variables,
@@ -15,6 +16,7 @@ from normforge.laurent import (
     parse_poly,
     poly_matrix_det,
     poly_to_text,
+    split_unit,
     substitute,
     unit_inverse,
     unit_quotient,
@@ -74,6 +76,8 @@ class TestRingStructure:
             A + LaurentPoly.variable(3, 0)
         with pytest.raises(ValueError, match="mismatch"):
             A * LaurentPoly.variable(1, 0)
+        with pytest.raises(ValueError, match="mismatch"):
+            poly_matrix_det([[A, B], [A, LaurentPoly.variable(1, 0)]])
 
 
 class TestDivideExact:
@@ -474,3 +478,75 @@ class TestPolyMatrixDet:
     def test_empty_row_is_not_square(self):
         with pytest.raises(ValueError, match="matrix is not square"):
             poly_matrix_det([[]])
+
+
+class TestConstructionRule:
+    """Every result built from valid terms is adopted without a copy or a check.
+
+    So each adopted dict must hold only nonzero coefficients under exponent
+    tuples of the result's length, and must not be an operand's dict (the
+    in-place multiply-accumulate kernel and the 1x1 determinant would then
+    change a value that is shared).  A path may return an operand itself,
+    since values are immutable, but never a new polynomial around its dict.
+    """
+
+    @staticmethod
+    def results(rng, nvars, p, q, unit):
+        names = ("a", "b", "c")[:nvars]
+        text = f"{names[-1]} + {poly_to_text(p, names)} - {names[-1]} + 0*{names[0]}"
+        step = [0] * nvars
+        step[rng.randrange(nvars)] = rng.choice((-2, -1, 1, 3))
+        binomial = LaurentPoly.monomial(nvars, step) - 1
+        matrix = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
+        shift = [rng.randint(-3, 3) for _ in range(nvars)]
+        return {
+            "add": p + q, "radd": 2 + p, "sub": p - q, "rsub": 3 - p, "neg": -p,
+            "mul": p * q, "scale": p * -3, "pow": q**2, "shifted": p.shifted(shift),
+            "unit_inverse": unit_inverse(unit), "invert_variables": invert_variables(p),
+            "exponent_map": exponent_map(p, matrix), "gcd": gcd(p * q, q),
+            "heap division": divide_exact(p * q, q),
+            "binomial division": divide_exact(p * binomial, binomial),
+            "parse_poly": parse_poly(text, names),
+            "det 1x1": poly_matrix_det([[p]]), "det 2x2": poly_matrix_det([[p, q], [unit, p]]),
+            "det 3x3": poly_matrix_det([[p, q, unit], [q, unit, p], [unit, p, q]]),
+            "normalize_unit": normalize_unit(p), "split_unit": split_unit(q)[0],
+            "split_unit unit": split_unit(p)[1], "unit_quotient": unit_quotient(q, unit * q),
+        }
+
+    def test_adopted_results_are_valid_and_unshared(self):
+        rng = random.Random(41)
+        for nvars in (1, 2, 3):
+            for _ in range(40):
+                p = random_poly(rng, nvars=nvars)
+                q = random_nonzero(rng, nvars=nvars)
+                unit = LaurentPoly.monomial(
+                    nvars, [rng.randint(-2, 2) for _ in range(nvars)], rng.choice((1, -1))
+                )
+                operands = (p, q, unit)
+                before = [dict(x.terms) for x in operands]
+                for path, r in self.results(rng, nvars, p, q, unit).items():
+                    assert all(type(e) is tuple and len(e) == r.nvars for e in r.terms), path
+                    assert all(type(c) is int and c != 0 for c in r.terms.values()), path
+                    for x in operands:
+                        assert r is x or r.terms is not x.terms, path
+                assert [x.terms for x in operands] == before
+
+    def test_caller_terms_are_still_checked(self):
+        # __init__ keeps its copy and checks for terms a caller supplies.
+        terms = {(1, 0): 2, (0, 0): 0}
+        p = LaurentPoly(2, terms)
+        assert p.terms == {(1, 0): 2} and p.terms is not terms
+        with pytest.raises(ValueError, match="expected 2"):
+            LaurentPoly(2, {(1,): 1})
+
+    def test_split_unit(self):
+        rng = random.Random(43)
+        for nvars in (1, 2, 3):
+            for _ in range(60):
+                p = random_poly(rng, nvars=nvars)
+                n, u = split_unit(p)
+                assert u.is_unit()
+                assert u * n == p
+                assert n == normalize_unit(p)
+            zero = LaurentPoly.zero(nvars)
+            assert split_unit(zero) == (zero, LaurentPoly.one(nvars))

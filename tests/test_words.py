@@ -137,6 +137,27 @@ class TestGroupOperations:
         w2 = parse_word("b^-1 a b", AB)
         assert w2.cyclically_reduced() == parse_word("a", AB)
 
+    def test_cyclic_reduction_against_reference(self):
+        def reference(w):
+            letters = list(w.letters)
+            while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+                letters = letters[1:-1]
+            return tuple(letters)
+
+        abc = make_alphabet("a b c")
+        rng = random.Random(17)
+        for _ in range(300):
+            core = random_word(rng, abc, max_len=6)
+            conjugator = random_word(rng, abc, max_len=8)
+            for w in (conjugator * core * conjugator.inverse(), random_word(rng, abc)):
+                assert w.cyclically_reduced().letters == reference(w)
+
+    def test_long_conjugating_prefix(self):
+        # Stripping k end pairs slices once, so k = 10^5 takes linear time.
+        k = 100_000
+        w = parse_word(f"a^{k} b a^-{k}", AB)
+        assert w.cyclically_reduced() == parse_word("b", AB)
+
 
 class TestSmithNormalForm:
     @staticmethod
