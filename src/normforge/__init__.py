@@ -45,8 +45,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "words": (
         "AbelianizationMap", "Generator", "ParseError", "Presentation", "PresentationFile",
-        "Word", "free_abelianization", "load_presentation", "make_alphabet",
-        "parse_presentation_text", "parse_word", "presentation", "smith_normal_form",
+        "Word", "free_abelianization", "make_alphabet", "parse_presentation_text",
+        "parse_word", "presentation", "smith_normal_form",
     ),
     "laurent": (
         "LaurentPoly", "divide_exact", "equal_up_to_unit", "gcd", "gcd_many",
@@ -64,8 +64,8 @@ _EXPORTS = {
     ),
     "bns": (
         "Arc", "ComponentComparison", "OpenCone", "SigmaDescription", "SphereArcs",
-        "compare_sigma", "cone_arc", "cone_contains", "interior_direction", "primitive",
-        "rank2_arcs", "sigma_alexander", "sigma_principal",
+        "compare_sigma", "cone_arc", "cone_contains", "primitive", "rank2_arcs",
+        "sigma_alexander", "sigma_principal", "vertex_cones",
     ),
     "brown": (
         "LatticePath", "UnsupportedPresentation", "brown_sigma", "simple_vertices",

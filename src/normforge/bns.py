@@ -57,11 +57,13 @@ class OpenCone:
     constraints: tuple[Vec, ...]  # primitive, deduplicated, sorted
 
 
-def _make_cone(label: Vec, others: Iterable[Vec]) -> OpenCone:
-    constraints = sorted(
-        {primitive(tuple(a - b for a, b in zip(label, w))) for w in others}
-    )
-    return OpenCone(tuple(label), tuple(constraints))
+def vertex_cones(hull: Sequence[Vec], selected: Iterable[Vec]) -> tuple[OpenCone, ...]:
+    """The cone C_v of each selected vertex v of ``hull``, in the order selected."""
+    cones = []
+    for v in selected:
+        constraints = {primitive(tuple(a - b for a, b in zip(v, w))) for w in hull if w != v}
+        cones.append(OpenCone(tuple(v), tuple(sorted(constraints))))
+    return tuple(cones)
 
 
 def cone_contains(cone: OpenCone, chi: Sequence[int]) -> bool:
@@ -98,14 +100,12 @@ def sigma_principal(p: LaurentPoly) -> SigmaDescription:
     if p.is_zero():
         raise ValueError("the zero polynomial has no invariant")
     poly = newton_polytope(p)
-    components = []
-    excluded = []
-    for v in poly.hull:
-        if abs(poly.coefficient(v)) == 1:
-            components.append(_make_cone(v, (w for w in poly.hull if w != v)))
-        else:
-            excluded.append(v)
-    return SigmaDescription(p.nvars, tuple(components), tuple(excluded))
+    unit = {v: abs(poly.coefficient(v)) == 1 for v in poly.hull}
+    return SigmaDescription(
+        p.nvars,
+        vertex_cones(poly.hull, [v for v in poly.hull if unit[v]]),
+        tuple(v for v in poly.hull if not unit[v]),
+    )
 
 
 def sigma_alexander(pres: Presentation) -> SigmaDescription:
@@ -153,12 +153,6 @@ def _arc_sample(arc: Arc) -> Dir:
     if arc.start == (-arc.end[0], -arc.end[1]):
         return (-arc.start[1], arc.start[0])
     return primitive((arc.start[0] + arc.end[0], arc.start[1] + arc.end[1]))
-
-
-def interior_direction(cone: OpenCone) -> Dir | None:
-    """Some primitive direction strictly inside a rank-2 cone, or None if empty."""
-    arc = cone_arc(cone)
-    return None if arc is None else _arc_sample(arc)
 
 
 def cone_arc(cone: OpenCone) -> Arc | None:

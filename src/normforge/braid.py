@@ -43,6 +43,7 @@ from .laurent import (
 )
 from .words import (
     Generator,
+    ParseError,
     Presentation,
     Word,
     make_alphabet,
@@ -86,30 +87,38 @@ def parse_braid(text: str) -> BraidWord:
     """Parse the grammar ``n=5: 1 2 -3 4`` (signed generator indices).
 
     Comments (from ``#``) and blank lines are ignored, so braid files
-    can carry a description.
+    can carry a description.  Errors are :class:`ParseError` with the
+    line of the bad header or letter.
     """
-    body = " ".join(
-        line.split("#", 1)[0].strip() for line in text.splitlines()
-    ).strip()
-    if not body:
-        raise ValueError("empty braid text")
-    head, colon, rest = body.partition(":")
-    head = head.replace(" ", "")
-    if not colon or not head.startswith("n="):
-        raise ValueError("braid text must start with 'n=<strands>:'")
-    try:
-        strands = int(head[2:])
-    except ValueError:
-        raise ValueError(f"malformed strand count {head[2:]!r}") from None
-    letters = []
-    for tok in rest.split():
+    strands = None
+    letters: list[BraidLetter] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
         try:
-            k = int(tok)
-        except ValueError:
-            raise ValueError(f"malformed braid letter {tok!r}") from None
-        if k == 0:
-            raise ValueError("braid letter 0 is not a generator")
-        letters.append((abs(k), 1 if k > 0 else -1))
+            if strands is None:
+                head, colon, line = line.partition(":")
+                head = head.replace(" ", "")
+                if not colon or not head.startswith("n="):
+                    raise ValueError("braid text must start with 'n=<strands>:'")
+                try:
+                    strands = int(head[2:])
+                except ValueError:
+                    raise ValueError(f"malformed strand count {head[2:]!r}") from None
+            line_letters = []
+            for tok in line.split():
+                try:
+                    k = int(tok)
+                except ValueError:
+                    raise ValueError(f"malformed braid letter {tok!r}") from None
+                line_letters.append((abs(k), 1 if k > 0 else -1))
+            # BraidWord checks the strand count and each letter's index (0 included).
+            letters += BraidWord(strands, tuple(line_letters)).letters
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    if strands is None:
+        raise ParseError(1, "empty braid text")
     return BraidWord(strands, tuple(letters))
 
 
@@ -163,9 +172,6 @@ class BurauMatrix:
 
     def det(self) -> LaurentPoly:
         return poly_matrix_det(self.entries)
-
-    def is_unit_determinant(self) -> bool:
-        return self.det().is_unit()
 
 
 def burau(b: BraidWord) -> BurauMatrix:

@@ -9,7 +9,8 @@ through it exactly once.  Each simple vertex v contributes a component
 
     C_v = { [chi] : chi(v - w) > 0 for every hull vertex w != v }
 
-of the invariant, the same cone construction as in :mod:`.bns`.
+of the invariant, built by :func:`.bns.vertex_cones`, the one cone
+builder, which :func:`.bns.sigma_principal` uses for the ±1 vertices.
 
 Only the commutator-subgroup case (closed path) is implemented; that is
 the shape the bundled example exercises.  Cones are emitted exactly as
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bns import SigmaDescription, _make_cone
+from .bns import SigmaDescription, vertex_cones
 from .polytope import hull_vertices
 from .words import Presentation, Word
 
@@ -104,12 +105,6 @@ def brown_sigma(p: Presentation) -> SigmaDescription:
         raise UnsupportedPresentation("the relator is trivial after cyclic reduction")
     if relator.exponent_vector() != (0, 0):
         raise UnsupportedPresentation("unsupported: relator not in commutator subgroup")
-    path = trace_relator(relator)
-    marked = simple_vertices(path)
+    marked = simple_vertices(trace_relator(relator))
     hull = [v for v, _ in marked]
-    components = tuple(
-        _make_cone(v, (w for w in hull if w != v))
-        for v, mult in marked
-        if mult == 1
-    )
-    return SigmaDescription(2, components, ())
+    return SigmaDescription(2, vertex_cones(hull, [v for v, mult in marked if mult == 1]), ())

@@ -60,17 +60,17 @@ def bundled_examples() -> dict[str, str]:
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     if source.startswith("@"):
         name = source[1:]
         if name not in _example_names():
             raise words.ParseError(1, f"no bundled example {name!r}; try 'normforge examples'")
         return _read_example(name)
     try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise words.ParseError(1, f"cannot read {source!r}: {exc}") from None
 
 
@@ -145,7 +145,7 @@ def _alexander_text(p, args) -> list[str]:
 def cmd_norm(args) -> int:
     pf = _load_pres(args)
     data = alexander.alexander_data(pf.presentation)
-    if data.degenerate or data.polynomial.is_zero():
+    if data.degenerate:
         raise CommandFlag("the Alexander polynomial is degenerate; the norm is undefined")
     try:
         phi = [Fraction(tok) for tok in args.phi.split(",")]
@@ -170,15 +170,15 @@ def cmd_norm_ball(args) -> int:
     if data.degenerate:
         raise CommandFlag("degenerate Alexander polynomial: no Newton polytope")
     poly = polytope.newton_polytope(data.polynomial)
-    center = polytope.balance_center(poly)
-    if center is None:
-        raise CommandFlag("Newton polytope is not balanced; no dual ball")
-    ball = polytope.dual_ball(poly)
+    try:
+        ball = polytope.dual_ball(poly)
+    except ValueError:
+        raise CommandFlag("Newton polytope is not balanced; no dual ball") from None
     payload = {
         "command": "norm-ball",
         "vertices": [list(v) for v in poly.hull],
         "coefficients": list(poly.hull_coefficients()),
-        "center": [_frac(x) for x in center],
+        "center": [_frac(x) for x in ball.center],
         "dual_vertices": None
         if ball.vertices is None
         else [[_frac(x) for x in v] for v in ball.vertices],

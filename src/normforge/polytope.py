@@ -307,7 +307,6 @@ class Face:
 
     vertex: Point
     normal: QVec
-    offset: Fraction
     endpoints: tuple[QVec, QVec] | None
 
 
@@ -380,7 +379,5 @@ def dual_ball(poly: LatticePolytope) -> NormBall:
         start = min(range(n), key=lambda k: corner[k])
         vertices = tuple(corner[(start + k) % n] for k in range(n))
 
-    faces = tuple(
-        Face(v, normals[v], half, endpoints.get(v)) for v in poly.hull
-    )
+    faces = tuple(Face(v, normals[v], endpoints.get(v)) for v in poly.hull)
     return NormBall(z0, faces, vertices)

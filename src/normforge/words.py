@@ -83,10 +83,6 @@ class Word:
                 reduced.append((idx, sign))
         self.letters = tuple(reduced)
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "Word":
-        return cls(alphabet)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -117,7 +113,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.identity(self.alphabet)
+        out = Word(self.alphabet)
         for _ in range(k):
             out = out * self
         return out
@@ -433,45 +429,34 @@ def parse_presentation_text(text: str) -> PresentationFile:
         if not line:
             continue
         key, colon, rest = line.partition(":")
-        if not colon:
-            raise ParseError(lineno, f"expected 'key: value', got {line!r}")
         key = key.strip()
         rest = rest.strip()
-        if key == "gens":
-            if alphabet is not None:
-                raise ParseError(lineno, "duplicate gens: line")
-            try:
+        try:
+            if not colon:
+                raise ValueError(f"expected 'key: value', got {line!r}")
+            if key == "gens":
+                if alphabet is not None:
+                    raise ValueError("duplicate gens: line")
                 alphabet = make_alphabet(rest)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if not alphabet:
-                raise ParseError(lineno, "gens: line declares no generators")
-        elif key == "rel":
-            if alphabet is None:
-                raise ParseError(lineno, "rel: before gens:")
-            try:
+                if not alphabet:
+                    raise ValueError("gens: line declares no generators")
+            elif key == "rel":
+                if alphabet is None:
+                    raise ValueError("rel: before gens:")
                 relators.append(parse_word(rest, alphabet))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        elif key == "word" or key.startswith("word "):
-            label = key[len("word"):].strip()
-            if not label:
-                raise ParseError(lineno, "word line is missing a label")
-            if alphabet is None:
-                raise ParseError(lineno, "word line before gens:")
-            if label in named:
-                raise ParseError(lineno, f"duplicate word label {label!r}")
-            try:
+            elif key == "word" or key.startswith("word "):
+                label = key[len("word"):].strip()
+                if not label:
+                    raise ValueError("word line is missing a label")
+                if alphabet is None:
+                    raise ValueError("word line before gens:")
+                if label in named:
+                    raise ValueError(f"duplicate word label {label!r}")
                 named[label] = parse_word(rest, alphabet)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        else:
-            raise ParseError(lineno, f"unknown item {key!r}")
+            else:
+                raise ValueError(f"unknown item {key!r}")
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
     if alphabet is None:
         raise ParseError(1, "missing gens: line")
     return PresentationFile(Presentation(alphabet, tuple(relators)), named)
-
-
-def load_presentation(path: str) -> PresentationFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_presentation_text(fh.read())

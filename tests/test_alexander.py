@@ -30,8 +30,8 @@ from normforge.words import (
     Presentation,
     Word,
     free_abelianization,
-    load_presentation,
     make_alphabet,
+    parse_presentation_text,
     parse_word,
     presentation,
 )
@@ -244,7 +244,7 @@ class TestAlexanderPolynomial:
 
 
 def golden_presentation(name):
-    return load_presentation(str(GOLDEN / name)).presentation
+    return parse_presentation_text((GOLDEN / name).read_text(encoding="utf-8")).presentation
 
 
 def closed_relator(rng, length):

@@ -158,7 +158,7 @@ class TestBurau:
         for _ in range(60):
             b = random_braid(rng, max_len=20)
             m = burau(b)
-            assert m.is_unit_determinant()
+            assert m.det().is_unit()
 
 
 class TestBraidAction:

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -98,6 +99,16 @@ class TestNormCommands:
         status, _, err = run(capsys, "norm", "@section6.pres", "--phi", "1,zebra")
         assert status == 2
         assert "malformed class" in err
+
+    def test_norm_ball_unbalanced_flag(self, capsys, tmp_path):
+        # Delta = a + b + 1: its Newton polytope is a triangle, which no
+        # point is a center of symmetry for.
+        path = tmp_path / "triangle.pres"
+        path.write_text("gens: a b\nrel: b a^-1 b a^-1 b^-2 a^2\n")
+        assert run(capsys, "alexander", str(path))[1].splitlines()[0] == "a + b + 1"
+        status, out, err = run(capsys, "norm-ball", str(path))
+        assert (status, out) == (1, "")
+        assert err == "flag: Newton polytope is not balanced; no dual ball\n"
 
     def test_norm_ball(self, capsys):
         status, out, _ = run(capsys, "norm-ball", "@section6.pres", "--format", "json")
@@ -209,6 +220,21 @@ class TestBraidCommands:
         assert status == 0
         assert "gens: x1 x2 s" in out
 
+    @pytest.mark.parametrize("command", ["burau", "mapping-torus"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3: 1 5\n", "line 1: generator index 5 out of range for 3 strands"),
+            ("garbage\n", "line 1: braid text must start with 'n=<strands>:'"),
+            ("n=1:\n", "line 1: a braid group needs at least 2 strands"),
+            ("# two lines\nn=3: 1 2\n\n-2 x\n", "line 4: malformed braid letter 'x'"),
+        ],
+    )
+    def test_braid_input_errors_exit_2(self, capsys, monkeypatch, command, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, out, err = run(capsys, command, "-")
+        assert (status, out, err) == (2, "", f"input error: {message}\n")
+
 
 class TestCheckCommand:
     def test_section6_all_pass(self, capsys):
@@ -274,8 +300,6 @@ class TestInvariantFailure:
 
 class TestInputHandling:
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("gens: a b\nrel: a b a^-1 b^-1\n"))
         status, out, _ = run(capsys, "alexander", "-")
         assert status == 0
@@ -295,6 +319,21 @@ class TestInputHandling:
         assert status == 2
         assert out == ""
         assert "line 2" in err and "'a^999999999'" in err
+
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.pres"
+        path.write_bytes(b"gens: a b\nrel: a \xff\n")
+        status, out, err = run(capsys, "alexander", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"input error: line 1: cannot read {str(path)!r}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    def test_undecodable_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        status, out, err = run(capsys, "alexander", "-")
+        assert (status, out) == (2, "")
+        assert err.startswith("input error: line 1: cannot read '-': 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "alexander", "does/not/exist.pres")

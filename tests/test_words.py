@@ -117,7 +117,7 @@ class TestGroupOperations:
 
     def test_invert_examples(self):
         assert parse_word("a b", AB).inverse() == parse_word("b^-1 a^-1", AB)
-        assert Word.identity(AB).inverse().is_identity()
+        assert Word(AB).inverse().is_identity()
         assert parse_word("a^2 b", AB).inverse() == parse_word("b^-1 a^-2", AB)
 
     def test_invert_involution(self):
