@@ -26,7 +26,7 @@ refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as _igcd
+from math import gcd
 from typing import Iterable, Sequence
 
 from .alexander import alexander_data
@@ -41,9 +41,7 @@ Vec = tuple[int, ...]
 def primitive(vector: Sequence[int]) -> Vec:
     """Scale a nonzero integer vector by 1/gcd, keeping orientation."""
     v = tuple(int(x) for x in vector)
-    g = 0
-    for x in v:
-        g = _igcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("the zero vector has no direction")
     return tuple(x // g for x in v)
@@ -215,8 +213,10 @@ class SphereArcs:
 
     ``arcs`` is parallel to the components (None marks an empty cone).
     When the union misses only finitely many directions, they are listed
-    in ``complement_points``; otherwise ``complement_finite`` is False
-    and the listed points are just the uncovered boundary directions.
+    in ``complement_points``.  Otherwise ``complement_finite`` is False
+    and ``complement_points`` lists every uncovered candidate direction
+    (arc endpoints, their antipodes and perpendiculars), which samples the
+    uncovered set but does not describe it.
     """
 
     arcs: tuple[Arc | None, ...]
@@ -230,7 +230,8 @@ def rank2_arcs(sigma: SigmaDescription) -> SphereArcs:
     The complement is probed on the finite set of candidate boundary
     directions (arc endpoints, their antipodes and perpendiculars);
     between consecutive candidates coverage is constant, so a mediant
-    sample per gap decides finiteness exactly.
+    sample per gap decides finiteness exactly.  Every uncovered candidate
+    is returned, whether or not the complement is finite.
     """
     if sigma.rank != 2:
         raise ValueError(f"arcs exist in rank 2 only, got rank {sigma.rank}")
@@ -361,7 +362,9 @@ def _compare_rank2(
                 return ComponentComparison(
                     inner.label, "properly_contained", host.label, w, True
                 )
-    raise AssertionError("distinct nested arcs must admit a mediant witness")
+    raise InvariantError(
+        "containment", f"no mediant separates the nested arcs of {inner.label} and {host.label}"
+    )
 
 
 def compare_sigma(

@@ -10,7 +10,7 @@ Exit status: 0 on success, 1 when the computation raises a flag (a
 degenerate polynomial, an unsupported presentation shape, a failed
 containment) or one of the library's own checks fails (one stderr line,
 ``invariant failed: <stage>: <witness>``), 2 on input errors, which
-carry line diagnostics.
+carry line diagnostics.  A closed stdout ends a command with status 1, silently.
 
 Reports that print unit-class quantities also print the normalization
 and variable conventions in use, so golden outputs are self-describing.
@@ -561,7 +561,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point the closed stdout at devnull so the flush at exit cannot fail
+        # again, and exit 1 quietly, as Python itself does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except words.ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_EXIT

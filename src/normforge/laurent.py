@@ -27,7 +27,7 @@ Exact division by a unit binomial ±x^a (x^v - 1), the divisor of the
 deficiency-one Alexander polynomial, runs line by line along the cosets
 e + Zv: the quotient is minus the running sum of the dividend along each
 line, and exists iff every line sums to zero.  Every other divisor takes
-long division, with the remainder's exponents in a heap.
+plain leading-term long division, one ``_dict_mul`` per quotient term.
 
 The gcd is computed by clearing monomial content and then running a
 primitive polynomial remainder sequence in Z[x_1, ..., x_n], recursing
@@ -38,7 +38,7 @@ throughout, so intermediate growth in the remainder sequence is safe.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+import re
 from math import gcd as _igcd
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -245,8 +245,7 @@ def unit_inverse(u: LaurentPoly) -> LaurentPoly:
     """Inverse of a unit ±x^v."""
     if not u.is_unit():
         raise ValueError("not a unit of the Laurent ring")
-    (e, c), = u.terms.items()
-    return LaurentPoly._adopt(u.nvars, {tuple(-x for x in e): c})
+    return invert_variables(u)
 
 
 def _to_origin(p: LaurentPoly) -> tuple[Terms, Exponents]:
@@ -312,36 +311,18 @@ def _dict_div_exact(num: Terms, den: Terms) -> Terms | None:
     # Long division by a single divisor in Z[x_1..x_n] with lex order.
     # In an integral domain the leading term of a product is the product
     # of leading terms, so if den divides num exactly this always succeeds.
-    # The remainder's exponents sit in a max-heap (negated keys); an entry
-    # whose term has since cancelled is stale and skipped when popped.
     d_exp = max(den)
     d_coeff = den[d_exp]
     rem = dict(num)
-    heap = [tuple(-x for x in e) for e in rem]
-    heapify(heap)
     quo: Terms = {}
     while rem:
-        r_exp = tuple(-x for x in heappop(heap))
-        c = rem.get(r_exp)
-        if c is None:
-            continue
-        diff = tuple(a - b for a, b in zip(r_exp, d_exp))
-        if any(x < 0 for x in diff):
+        r_exp = max(rem)
+        diff = tuple(map(sub, r_exp, d_exp))
+        t, r = divmod(rem[r_exp], d_coeff)
+        if r or any(x < 0 for x in diff):
             return None
-        if c % d_coeff:
-            return None
-        t = c // d_coeff
         quo[diff] = t
-        for e, dc in den.items():
-            ee = tuple(a + b for a, b in zip(e, diff))
-            prev = rem.get(ee)
-            if prev is None:
-                rem[ee] = -t * dc
-                heappush(heap, tuple(-x for x in ee))
-            elif prev != t * dc:
-                rem[ee] = prev - t * dc
-            else:
-                del rem[ee]
+        _dict_mul({diff: t}, den, rem, -1)
     return quo
 
 
@@ -395,7 +376,7 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 
     The quotient is unique when it exists (the ring is a domain).  A unit
     binomial ±x^a (x^v - 1) divides line by line along e + Zv in time
-    linear in p and the quotient; every other divisor takes the heap-ordered
+    linear in p and the quotient; every other divisor takes leading-term
     long division.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
@@ -442,11 +423,7 @@ def _split_last(terms: Terms) -> dict[int, Terms]:
 
 
 def _join_last(split: dict[int, Terms]) -> Terms:
-    out: Terms = {}
-    for k, sub in split.items():
-        for e, c in sub.items():
-            out[e + (k,)] = c
-    return out
+    return {e + (k,): c for k, sub in split.items() for e, c in sub.items()}
 
 
 def _dict_add(a: Terms, b: Terms, sign: int) -> Terms:
@@ -498,9 +475,7 @@ def _poly_gcd(p: Terms, q: Terms, nvars: int) -> Terms:
         if r:
             r = _divide_coeffs(r, _content(r, nvars - 1))
         u, v = v, r
-    g = _join_last(u)
-    cont_embedded = {e + (0,): c for e, c in cont.items()}
-    return _dict_mul(g, cont_embedded, {})
+    return _dict_mul(_join_last(u), {e + (0,): c for e, c in cont.items()}, {})
 
 
 def _content(split: dict[int, Terms], nvars: int) -> Terms:
@@ -560,11 +535,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise ValueError("variable count mismatch")
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return normalize_unit(q)
-    if q.is_zero():
-        return normalize_unit(p)
-    g = _poly_gcd(_to_origin(p)[0], _to_origin(q)[0], p.nvars)
+    g = _poly_gcd(*[_to_origin(x)[0] if x else {} for x in (p, q)], p.nvars)
     return normalize_unit(LaurentPoly._adopt(p.nvars, g))
 
 
@@ -574,9 +545,8 @@ def gcd_many(polys: Sequence[LaurentPoly]) -> LaurentPoly:
     if not nonzero:
         raise ValueError("gcd of an all-zero family is undefined")
     g = normalize_unit(nonzero[0])
-    one = LaurentPoly.one(g.nvars)
     for p in nonzero[1:]:
-        if g == one:
+        if g == 1:
             break
         g = gcd(g, p)
     return g
@@ -601,28 +571,18 @@ def substitute(p: LaurentPoly, images: Sequence[LaurentPoly]) -> LaurentPoly:
     """
     if len(images) != p.nvars:
         raise ValueError(f"expected {p.nvars} images, got {len(images)}")
-    if p.nvars == 0:
-        target = 0
-    else:
-        target = images[0].nvars
-        for im in images:
-            if im.nvars != target:
-                raise ValueError("images live in different rings")
+    target = images[0].nvars if images else 0
+    if any(im.nvars != target for im in images):
+        raise ValueError("images live in different rings")
     result = LaurentPoly.zero(target)
-    power_cache: dict[tuple[int, int], LaurentPoly] = {}
     for e, c in p.terms.items():
-        term = LaurentPoly.constant(target, c)
-        for k, ek in enumerate(e):
-            if ek == 0:
-                continue
-            if ek < 0 and not images[k].is_unit():
+        term = c
+        for k, (im, ek) in enumerate(zip(images, e)):
+            if ek < 0 and not im.is_unit():
                 raise ValueError(
                     f"variable {k} occurs with negative exponent but its image is not a unit"
                 )
-            key = (k, ek)
-            if key not in power_cache:
-                power_cache[key] = images[k] ** ek
-            term = term * power_cache[key]
+            term = term * im**ek
         result = result + term
     return result
 
@@ -742,6 +702,9 @@ def poly_to_text(p: LaurentPoly, names: Sequence[str]) -> str:
     return " ".join(pieces)
 
 
+_TERM_SIGN = re.compile(r"(?<![\^\s])\s*([+-])")
+
+
 def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     """Parse the canonical text form back into a polynomial.
 
@@ -758,40 +721,20 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         raise ValueError("empty polynomial text")
     if stripped == "0":
         return LaurentPoly.zero(nvars)
-
-    # Split into signed terms at + and - signs that do not follow a caret
-    # (signs directly after ^ belong to an exponent, as in a^-2).
-    chunks: list[tuple[int, str]] = []
-    i, n = 0, len(stripped)
-    while i < n:
-        while i < n and stripped[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        sign = 1
-        while i < n and stripped[i] in "+-":
-            if stripped[i] == "-":
-                sign = -sign
-            i += 1
-            while i < n and stripped[i].isspace():
-                i += 1
-        start = i
-        prev = ""
-        while i < n:
-            ch = stripped[i]
-            if ch in "+-" and prev != "^":
-                break
-            if not ch.isspace():
-                prev = ch
-            i += 1
-        body = stripped[start:i].strip()
-        if not body:
-            raise ValueError(f"dangling sign in {text!r}")
-        chunks.append((sign, body))
+    # [term, sign, term, sign, ...]: a sign whose last non-space predecessor
+    # is ^ belongs to an exponent, as in a^-2, and a run of signs multiplies.
+    parts = _TERM_SIGN.split(stripped)
+    if not parts[-1]:
+        raise ValueError(f"dangling sign in {text!r}")
 
     terms: Terms = {}
-    for sgn, body in chunks:
-        coeff = sgn
+    sign = 1
+    for sep, body in zip(("+", *parts[1::2]), parts[::2]):
+        sign = -sign if sep == "-" else sign
+        body = body.strip()
+        if not body:
+            continue
+        coeff, sign = sign, 1
         exps = [0] * nvars
         for factor in body.split("*"):
             factor = factor.strip()
@@ -800,22 +743,15 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
             if factor.lstrip("+-").isdigit():
                 coeff *= int(factor)
                 continue
-            if "^" in factor:
-                name, _, exp_text = factor.partition("^")
-                try:
-                    k = int(exp_text)
-                except ValueError:
-                    raise ValueError(f"malformed exponent in factor {factor!r}") from None
-            else:
-                name, k = factor, 1
+            name, caret, exp_text = factor.partition("^")
+            try:
+                k = int(exp_text) if caret else 1
+            except ValueError:
+                raise ValueError(f"malformed exponent in factor {factor!r}") from None
             name = name.strip()
             if name not in index:
                 raise ValueError(f"unknown variable {name!r}")
             exps[index[name]] += k
         key = tuple(exps)
-        s = terms.get(key, 0) + coeff
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    return LaurentPoly._adopt(nvars, terms)
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(nvars, terms)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -113,10 +114,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word(self.alphabet)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.alphabet, self.letters * k)
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Signed exponent sum of each generator (image in Z^alphabet)."""
@@ -133,25 +131,12 @@ class Word:
         return Word(self.alphabet, letters[k:n - k])
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        pieces: list[str] = []
-        run_idx, run_exp = self.letters[0][0], self.letters[0][1]
-        for idx, sign in self.letters[1:]:
-            if idx == run_idx and (run_exp > 0) == (sign > 0):
-                run_exp += sign
-            else:
-                pieces.append(_format_power(self.alphabet[run_idx].name, run_exp))
-                run_idx, run_exp = idx, sign
-        pieces.append(_format_power(self.alphabet[run_idx].name, run_exp))
-        return " ".join(pieces)
+        # A reduced word's runs of one repeated letter are its powers.
+        runs = [(self.alphabet[i].name, s * len(list(g))) for (i, s), g in groupby(self.letters)]
+        return " ".join(n if e == 1 else f"{n}^{e}" for n, e in runs) or "1"
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
-
-
-def _format_power(name: str, exp: int) -> str:
-    return name if exp == 1 else f"{name}^{exp}"
 
 
 # Longest word, in letters before free reduction, that parse_word expands.

@@ -66,6 +66,14 @@ class TestBraidWords:
         with pytest.raises(ValueError):
             BraidWord(1, ())
 
+    def test_strand_limit(self):
+        n = braid.MAX_STRANDS
+        assert BraidWord(n, ((n - 1, 1),)).strands == n
+        with pytest.raises(ValueError, match=f"more than {n} strands \\({n + 1}\\)"):
+            BraidWord(n + 1, ())
+        with pytest.raises(ValueError, match=f"line 2: more than {n} strands"):
+            parse_braid("# huge\nn=100000: 1\n")
+
 
 class TestGammaAndPermutations:
     def test_gamma_shape(self):

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
-from normforge import alexander
+import normforge
+from normforge import alexander, bns, braid
 from normforge.cli import bundled_examples, main
 
 
@@ -190,6 +193,18 @@ class TestCompareQuestionB:
         assert status in (0, 1)
         assert "Question B" in out or "containment" in out
 
+    def test_missing_mediant_witness_exits_1(self, capsys, monkeypatch):
+        # Both section6 components are properly contained, so each needs a
+        # mediant witness; the antipode of the mediant lies outside the host.
+        def antipode(u, v):
+            return bns.primitive((-u[0] - v[0], -u[1] - v[1]))
+
+        monkeypatch.setattr(bns, "_mediant", antipode)
+        status, out, err = run(capsys, "compare-question-b", "@section6.pres")
+        assert (status, out) == (1, "")
+        assert err.startswith("invariant failed: containment: no mediant separates")
+        assert err.count("\n") == 1
+
 
 class TestBraidCommands:
     def test_burau_gamma3(self, capsys):
@@ -234,6 +249,38 @@ class TestBraidCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         status, out, err = run(capsys, command, "-")
         assert (status, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["burau", "mapping-torus"])
+    def test_strand_limit_exit_2(self, capsys, monkeypatch, command):
+        def refused(beta):
+            raise AssertionError("burau must not run on a refused braid")
+
+        monkeypatch.setattr(braid, "burau", refused)
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=100000: 1\n"))
+        status, out, err = run(capsys, command, "-")
+        limit = braid.MAX_STRANDS
+        assert (status, out) == (2, "")
+        assert err == f"input error: line 1: more than {limit} strands (100000)\n"
+
+    def test_closed_stdout_exits_1_quietly(self, capsys, tmp_path):
+        # 114 581 bytes of output fill the pipe, so the writer meets the closed end.
+        path = tmp_path / "gamma120.braid"
+        path.write_text(f"{braid.gamma(120)}\n")
+        status, out, _ = run(capsys, "burau", str(path))
+        assert (status, len(out.encode())) == (0, 114_581)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(normforge.__file__)))
+        path_var = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "normforge.cli", "burau", str(path)],
+            env=dict(os.environ, PYTHONPATH=path_var),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), len(head), err) == (1, 100, b"")
 
 
 class TestCheckCommand:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -147,8 +148,8 @@ class TestDivideExact:
         assert refused > 50
 
 
-def heap_quotient(p, d, kernel=laurent._dict_div_exact):
-    """p / d by the heap-ordered long division alone: the reference for the line-sum route.
+def long_quotient(p, d, kernel=laurent._dict_div_exact):
+    """p / d by leading-term long division alone: the reference for the line-sum route.
 
     ``kernel`` is bound at definition, so counting the module's calls does not see these.
     """
@@ -163,7 +164,7 @@ def heap_quotient(p, d, kernel=laurent._dict_div_exact):
     return LaurentPoly(p.nvars, quo).shifted(tuple(a - b for a, b in zip(mp, md)))
 
 
-def count_heap_divisions(monkeypatch) -> list:
+def count_long_divisions(monkeypatch) -> list:
     calls = []
     original = laurent._dict_div_exact
 
@@ -181,7 +182,10 @@ STEPS = [(1,), (-2,), (3,), (1, 0), (0, 1), (0, 2), (-1, 3), (2, -2), (0, -1),
 
 
 class TestBinomialDivision:
-    """Division by a unit binomial ±x^a (x^v - 1) runs line by line, not by the heap."""
+    """Division by a unit binomial ±x^a (x^v - 1) runs line by line, not by long division.
+
+    "The heap route" in two test names is long division, named after the max-heap it once kept.
+    """
 
     def divisors(self, rng):
         for v in STEPS:
@@ -192,7 +196,7 @@ class TestBinomialDivision:
 
     def test_matches_the_heap_route_term_for_term(self, monkeypatch):
         rng = random.Random(5)
-        calls = count_heap_divisions(monkeypatch)
+        calls = count_long_divisions(monkeypatch)
         refused = 0
         for _ in range(6):
             for d in self.divisors(rng):
@@ -207,7 +211,7 @@ class TestBinomialDivision:
                 refused += 1
                 other = random_poly(rng, nvars=n, max_terms=8, span=4)
                 got = divide_exact(other, d)
-                expected = heap_quotient(other, d)
+                expected = long_quotient(other, d)
                 assert (got is None) == (expected is None)
                 if got is not None:
                     assert got.terms == expected.terms
@@ -215,7 +219,7 @@ class TestBinomialDivision:
         assert calls == []
 
     def test_quotient_with_gaps_along_a_line(self, monkeypatch):
-        calls = count_heap_divisions(monkeypatch)
+        calls = count_long_divisions(monkeypatch)
         # (a - 1)(1 + a^1000): the running sum is zero between the two pieces.
         p = (A - 1) * (1 + A ** 1000) * B
         assert divide_exact(p, A - 1) == (1 + A ** 1000) * B
@@ -236,8 +240,8 @@ class TestBinomialDivision:
         ],
     )
     def test_other_divisors_keep_the_heap_route(self, monkeypatch, p, d):
-        calls = count_heap_divisions(monkeypatch)
-        expected = heap_quotient(p, d)
+        calls = count_long_divisions(monkeypatch)
+        expected = long_quotient(p, d)
         got = divide_exact(p, d)
         assert len(calls) == 1
         assert (got is None) == (expected is None)
@@ -341,6 +345,18 @@ class TestSubstitute:
             p = random_poly(rng)
             assert substitute(substitute(p, fwd), fwd) == p
 
+    def test_image_count_and_ring_are_checked(self):
+        with pytest.raises(ValueError, match="expected 2 images, got 1"):
+            substitute(A + B, [A])
+        with pytest.raises(ValueError, match="images live in different rings"):
+            substitute(A + B, [A, LaurentPoly.variable(3, 0)])
+
+    def test_constant_polynomials(self):
+        # Zero variables: no images, and the constant lands in the 0-variable ring.
+        assert substitute(LaurentPoly.constant(0, 5), []) == LaurentPoly.constant(0, 5)
+        assert substitute(LaurentPoly.constant(2, -3), [A**-1, B]) == -3
+        assert substitute(LaurentPoly.zero(2), [A + 1, B]) == LaurentPoly.zero(2)
+
     def test_noninvertible_image_with_negative_exponent(self):
         p = LaurentPoly.monomial(2, (-1, 0))
         with pytest.raises(ValueError, match="not a unit"):
@@ -417,6 +433,40 @@ class TestTextForm:
             parse_poly("a^b", NAMES)
         with pytest.raises(ValueError):
             parse_poly("", NAMES)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a^ -2", A**-2),
+            ("a^\t-2 +b", A**-2 + B),
+            ("- - a", A),
+            ("-+- a - -b", A + B),
+            ("a\t-\tb\n+ 2 * a ^ 2", A - B + 2 * A**2),
+            ("0*a", LaurentPoly.zero(2)),
+            ("a + 0*b - a", LaurentPoly.zero(2)),
+            ("  0 ", LaurentPoly.zero(2)),
+            ("2 * 3*a^-1*b", 6 * A**-1 * B),
+        ],
+    )
+    def test_parse_signs_and_spacing(self, text, expected):
+        assert parse_poly(text, NAMES) == expected
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A trailing sign is reported before anything wrong in earlier terms.
+            ("c + a -", "dangling sign in 'c + a -'"),
+            ("a^b - -", "dangling sign"),
+            ("+", "dangling sign"),
+            ("a^-", "malformed exponent in factor 'a^-'"),
+            ("a^ -", "malformed exponent in factor 'a^ -'"),
+            ("a * * b", "empty factor in term 'a * * b'"),
+            ("a - c", "unknown variable 'c'"),
+        ],
+    )
+    def test_parse_error_order(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly(text, NAMES)
 
 
 class TestPolyMatrixDet:
@@ -504,7 +554,7 @@ class TestConstructionRule:
             "mul": p * q, "scale": p * -3, "pow": q**2, "shifted": p.shifted(shift),
             "unit_inverse": unit_inverse(unit), "invert_variables": invert_variables(p),
             "exponent_map": exponent_map(p, matrix), "gcd": gcd(p * q, q),
-            "heap division": divide_exact(p * q, q),
+            "long division": divide_exact(p * q, q),
             "binomial division": divide_exact(p * binomial, binomial),
             "parse_poly": parse_poly(text, names),
             "det 1x1": poly_matrix_det([[p]]), "det 2x2": poly_matrix_det([[p, q], [unit, p]]),

@@ -126,6 +126,32 @@ class TestGroupOperations:
             w = random_word(rng, AB)
             assert w.inverse().inverse() == w
 
+    @pytest.mark.parametrize(
+        "k, expected",
+        [(-2, "a b^-2 a^-1"), (0, "1"), (1, "a b a^-1"), (3, "a b^3 a^-1")],
+    )
+    def test_power_examples(self, k, expected):
+        assert parse_word("a b a^-1", AB) ** k == parse_word(expected, AB)
+
+    def test_power_against_repeated_product(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            w = random_word(rng, AB)
+            k = rng.randint(-4, 4)
+            product = Word(AB)
+            for _ in range(abs(k)):
+                product = product * (w if k > 0 else w.inverse())
+            assert w ** k == product
+
+    def test_str_collects_runs(self):
+        abc = make_alphabet("a b c")
+        assert str(Word(abc)) == "1"
+        assert str(parse_word("a a b^-1 b^-1 b^-1 c a^-1 a^-1 a b", abc)) == "a^2 b^-3 c a^-1 b"
+        rng = random.Random(4)
+        for _ in range(200):
+            w = random_word(rng, abc)
+            assert parse_word(str(w), abc) == w
+
     def test_alphabet_mismatch(self):
         other = make_alphabet("x y")
         with pytest.raises(ValueError, match="different alphabets"):
