@@ -27,11 +27,11 @@ the unit witness of every other minor (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from typing import Sequence
 
+from ._record import record
 from .errors import InvariantError
 from .laurent import (
     LaurentPoly,
@@ -102,7 +102,7 @@ def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> Lauren
     return _fox_row(w, ab)[target]
 
 
-@dataclass(frozen=True)
+@record
 class AlexanderMatrix:
     """Abelianized Fox derivative matrix of a presentation.
 
@@ -151,7 +151,7 @@ def alexander_matrix(p: Presentation) -> AlexanderMatrix:
     return AlexanderMatrix(p, ab, tuple(tuple(_fox_row(r, ab)) for r in p.relators))
 
 
-@dataclass(frozen=True)
+@record
 class ElementaryIdealGens:
     """Generators (minors) of the i-th elementary ideal of an Alexander matrix."""
 
@@ -179,7 +179,7 @@ def elementary_ideal(mat: AlexanderMatrix, i: int) -> ElementaryIdealGens:
     return ElementaryIdealGens(i, k, tuple(gens))
 
 
-@dataclass(frozen=True)
+@record
 class AlexanderData:
     """Alexander polynomial with its matrix and, at deficiency one, E_1's unit witnesses.
 
@@ -279,7 +279,7 @@ def check_symmetry(d: LaurentPoly) -> bool:
     return equal_up_to_unit(d, invert_variables(d))
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Outcome of a structural check, shaped for the JSON report schema."""
 

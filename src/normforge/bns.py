@@ -25,10 +25,10 @@ refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from ._record import record
 from .alexander import alexander_data
 from .errors import InvariantError
 from .laurent import LaurentPoly
@@ -47,7 +47,7 @@ def primitive(vector: Sequence[int]) -> Vec:
     return tuple(x // g for x in v)
 
 
-@dataclass(frozen=True)
+@record
 class OpenCone:
     """Open cone { chi : chi . d > 0 for every constraint d }, labeled by a vertex."""
 
@@ -74,7 +74,7 @@ def cone_contains(cone: OpenCone, chi: Sequence[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SigmaDescription:
     """A BNS invariant as a finite union of open cones on the character sphere.
 
@@ -131,7 +131,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
+@record
 class Arc:
     """Open counterclockwise arc on S^1 from ``start`` to ``end``, endpoints excluded.
 
@@ -207,7 +207,7 @@ def _angular_sort(dirs: Iterable[Dir]) -> list[Dir]:
     return sorted(set(dirs), key=functools.cmp_to_key(cmp))
 
 
-@dataclass(frozen=True)
+@record
 class SphereArcs:
     """Rank-2 arc picture of a SigmaDescription.
 
@@ -279,7 +279,7 @@ def rank2_arcs(sigma: SigmaDescription) -> SphereArcs:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ComponentComparison:
     """Relation of one inner component to the outer description.
 

@@ -32,8 +32,8 @@ orientation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import record
 from .alexander import alexander_data
 from .errors import InvariantError
 from .laurent import (
@@ -57,7 +57,7 @@ BraidLetter = tuple[int, int]  # (generator index in 1..n-1, sign)
 MAX_STRANDS = 256
 
 
-@dataclass(frozen=True)
+@record
 class BraidWord:
     """A word in the braid generators sigma_1, ..., sigma_{n-1}."""
 
@@ -166,7 +166,7 @@ def is_n_cycle(b: BraidWord) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BurauMatrix:
     """An (n-1) x (n-1) matrix over Z[t^±1]; invertible, det = ±t^k."""
 
@@ -264,7 +264,7 @@ def mapping_torus_presentation(b: BraidWord) -> Presentation:
     return Presentation(alphabet, tuple(relators))
 
 
-@dataclass(frozen=True)
+@record
 class MappingTorusDelta:
     """det(wI - Burau(beta)) in the homology basis (t', w) of the mapping torus.
 

@@ -22,8 +22,7 @@ of Z^2, say, yields the four open quadrants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .bns import SigmaDescription, vertex_cones
 from .polytope import hull_vertices
 from .words import Presentation, Word
@@ -33,7 +32,7 @@ class UnsupportedPresentation(ValueError):
     """The presentation is outside the shape this procedure handles."""
 
 
-@dataclass(frozen=True)
+@record
 class LatticePath:
     """Lattice path p_0, ..., p_L with p_0 = (0, 0) and unit-vector steps."""
 

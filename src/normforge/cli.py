@@ -20,10 +20,11 @@ Rational numbers appear in JSON as [numerator, denominator] pairs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
+
+# ``json`` and ``fractions`` are imported inside the functions that use
+# them, so a command whose output needs neither does not load them.
 
 # Library modules are bound, not their names: a module's code runs only
 # when a command first calls into it (see the package docstring).
@@ -75,12 +76,16 @@ def _read_input(source: str) -> str:
 
 
 def _frac(x: Fraction) -> list[int]:
+    from fractions import Fraction
+
     f = Fraction(x)
     return [f.numerator, f.denominator]
 
 
 def _fmt_num(x) -> str:
     """An integer, a Fraction, or a [numerator, denominator] pair as text."""
+    from fractions import Fraction
+
     return str(Fraction(*x) if isinstance(x, list) else x)
 
 
@@ -91,6 +96,8 @@ def _fmt_point(p) -> str:
 def _emit(args, payload: dict, render) -> None:
     """Print the payload as JSON, or the text lines ``render(payload, args)`` makes of it."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(render(payload, args)))
@@ -147,6 +154,8 @@ def cmd_norm(args) -> int:
     data = alexander.alexander_data(pf.presentation)
     if data.degenerate:
         raise CommandFlag("the Alexander polynomial is degenerate; the norm is undefined")
+    from fractions import Fraction
+
     try:
         phi = [Fraction(tok) for tok in args.phi.split(",")]
     except (ValueError, ZeroDivisionError):

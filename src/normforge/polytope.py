@@ -18,10 +18,10 @@ full-dimensionality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .errors import InvariantError
 from .laurent import LaurentPoly
 
@@ -206,7 +206,7 @@ def hull_vertices(points: Sequence[Point]) -> list[Point]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
+@record
 class LatticePolytope:
     """Convex hull of labeled lattice points (the Newton polytope role).
 
@@ -296,7 +296,7 @@ def balance_center(poly: LatticePolytope) -> QVec | None:
     return z0
 
 
-@dataclass(frozen=True)
+@record
 class Face:
     """Top-dimensional face of the dual ball attached to a hull vertex v.
 
@@ -310,7 +310,7 @@ class Face:
     endpoints: tuple[QVec, QVec] | None
 
 
-@dataclass(frozen=True)
+@record
 class NormBall:
     """The dual unit ball: half the classical polytope dual about z0.
 

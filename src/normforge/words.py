@@ -14,16 +14,16 @@ the free quotient has no zero divisors, which gcd computations need.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import InvariantError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
+@record
 class Generator:
     """A named free-group generator."""
 
@@ -183,7 +183,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A finite group presentation: alphabet plus relator words."""
 
@@ -324,7 +324,7 @@ def smith_normal_form(
     return u, d, v
 
 
-@dataclass(frozen=True)
+@record
 class AbelianizationMap:
     """Projection of Z^alphabet onto the free abelianized quotient Z^rank.
 
@@ -391,7 +391,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@record
 class PresentationFile:
     """A parsed presentation file: the presentation plus named auxiliary words."""
 

@@ -152,6 +152,13 @@ class TestAlexanderMatrix:
             AlexanderMatrix(mat.presentation, mat.abelianization, ((2 * row[0], row[1]),))
         assert caught.value.stage == "fundamental identity"
         assert caught.value.witness == "relator 0: residue LaurentPoly(2, '-x*y + x + y - 1')"
+        # Keyword construction runs the same check.
+        with pytest.raises(InvariantError, match=message):
+            AlexanderMatrix(
+                entries=((2 * row[0], row[1]),),
+                presentation=mat.presentation,
+                abelianization=mat.abelianization,
+            )
 
 
 class TestElementaryIdeals:

@@ -61,16 +61,22 @@ class TestBraidWords:
             parse_braid(text)
 
     def test_index_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generator index 3 out of range for 3 strands"):
             BraidWord(3, ((3, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generator index 0 out of range"):
+            BraidWord(letters=((0, 1),), strands=3)
+        with pytest.raises(ValueError, match="at least 2 strands"):
             BraidWord(1, ())
+        with pytest.raises(ValueError, match="signs must be ±1"):
+            BraidWord(3, ((1, 2),))
 
     def test_strand_limit(self):
         n = braid.MAX_STRANDS
         assert BraidWord(n, ((n - 1, 1),)).strands == n
         with pytest.raises(ValueError, match=f"more than {n} strands \\({n + 1}\\)"):
             BraidWord(n + 1, ())
+        with pytest.raises(ValueError, match=f"more than {n} strands"):
+            BraidWord(strands=n + 1, letters=())
         with pytest.raises(ValueError, match=f"line 2: more than {n} strands"):
             parse_braid("# huge\nn=100000: 1\n")
 

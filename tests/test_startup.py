@@ -4,7 +4,10 @@ A module's code has run exactly when its namespace holds ``__builtins__``
 (executing a module body puts it there).  ``object.__getattribute__``
 reads the namespace without triggering a lazy module's load.  Each case
 runs in a fresh interpreter, since this test session has loaded every
-module already.
+module already.  The probe also reports which of the costly standard
+modules in ``WATCHED`` the command added to ``sys.modules`` (an
+interpreter whose start-up already loads one is not held against the
+command); it imports ``json`` itself only after taking that list.
 """
 
 import json
@@ -17,14 +20,25 @@ import pytest
 import normforge
 
 LIBRARY = ("words", "laurent", "alexander", "polytope", "bns", "brown", "braid")
+# Standard modules no command should pay for unless its output needs them:
+# ``dataclasses`` pulls in ``inspect`` (and ``ast``, ``dis``, ``tokenize``).
+WATCHED = ("dataclasses", "fractions", "inspect", "json")
+
+_PRELUDE = """
+import sys
+_preloaded = set(sys.modules)
+import contextlib, io
+"""
 
 _REPORT = """
+loaded = sorted(name for name in %r if name in sys.modules and name not in _preloaded)
 executed = sorted(
     name for name in %r
     if "__builtins__" in object.__getattribute__(sys.modules["normforge." + name], "__dict__")
 )
-print(json.dumps({"status": status, "executed": executed}))
-""" % (LIBRARY,)
+import json
+print(json.dumps({"status": status, "executed": executed, "loaded": loaded}))
+""" % (WATCHED, LIBRARY)
 
 _RUN_MAIN = """
 from normforge.cli import main
@@ -38,7 +52,7 @@ def probe(setup: str, *argv: str) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(normforge.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import contextlib, io, json, sys\n" + setup + _REPORT, *argv],
+        [sys.executable, "-c", _PRELUDE + setup + _REPORT, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -47,20 +61,37 @@ def probe(setup: str, *argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
+PRES = ["alexander", "laurent", "words"]
+HULL = [*PRES, "polytope"]
+CONES = [*HULL, "bns", "brown"]
+BRAID = [*PRES, "braid"]
+
+
 @pytest.mark.parametrize(
     "argv, executed",
     [
         (("examples",), []),
         (("examples", "section6.pres"), []),
-        (("alexander", "@section6.pres"), ["alexander", "laurent", "words"]),
+        (("alexander", "@section6.pres"), PRES),
+        (("check", "@section6.pres"), HULL),
+        (("norm-ball", "@section6.pres"), HULL),
+        (("compare-question-b", "@section6.pres"), CONES),
+        (("sigma-brown", "@section6.pres"), CONES),
+        (("burau", "@gamma_3.braid"), BRAID),
+        (("mapping-torus", "--cross-check", "@gamma_3.braid"), BRAID),
+        (("norm-ball", "--format", "json", "@section6.pres"), HULL),
     ],
 )
 def test_command_runs_only_the_modules_it_uses(argv, executed):
-    assert probe(_RUN_MAIN, *argv) == {"status": 0, "executed": executed}
+    # Of the WATCHED modules, a command loads fractions only through
+    # polytope, json only for --format json (the last case shows that the
+    # probe sees an import), and never dataclasses or inspect.
+    loaded = ["fractions"] * ("polytope" in executed) + ["json"] * ("json" in argv)
+    assert probe(_RUN_MAIN, *argv) == {"status": 0, "executed": sorted(executed), "loaded": loaded}
 
 
 def test_package_import_runs_no_library_module():
-    assert probe("import normforge; status = 0") == {"status": 0, "executed": []}
+    assert probe("import normforge; status = 0") == {"status": 0, "executed": [], "loaded": []}
 
 
 def test_reimport_keeps_one_module_object_per_name():

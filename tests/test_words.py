@@ -63,8 +63,22 @@ class TestParsing:
             parse_word("a", ())
 
     def test_bad_generator_name(self):
-        with pytest.raises(ValueError, match="bad generator name"):
-            Generator("2x")
+        for name in ("2x", "", "_a", "a b", "a-1"):
+            with pytest.raises(ValueError, match="bad generator name"):
+                Generator(name)
+            with pytest.raises(ValueError, match="bad generator name"):
+                Generator(name=name)
+
+    def test_presentation_checks(self):
+        ab, other = make_alphabet("a b"), make_alphabet("a c")
+        rel = parse_word("a b a^-1 b^-1", ab)
+        assert Presentation(ab, (rel,)).relators == (rel,)
+        with pytest.raises(ValueError, match="generator names must be unique"):
+            Presentation((Generator("a"), Generator("b"), Generator("a")), ())
+        with pytest.raises(ValueError, match="every relator must be a word over the presentation"):
+            Presentation(other, (rel,))
+        with pytest.raises(ValueError, match="every relator must be a word over the presentation"):
+            Presentation(relators=(rel, parse_word("a c", other)), alphabet=ab)
 
     def test_word_length_limit(self):
         with pytest.raises(ValueError, match=r"token 1 \('a\^999999999'\)"):
