@@ -32,9 +32,10 @@ orientation).
 
 from __future__ import annotations
 
-
+# ``alexander`` is bound as a module, so only the Fox cross-check runs it
+# (see the package docstring).
+from . import alexander
 from ._record import record
-from .alexander import alexander_data
 from .errors import InvariantError
 from .laurent import (
     LaurentPoly,
@@ -95,7 +96,8 @@ def parse_braid(text: str) -> BraidWord:
 
     Comments (from ``#``) and blank lines are ignored, so braid files
     can carry a description.  Errors are :class:`ParseError` with the
-    line of the bad header or letter.
+    line of the bad header or letter, or with no line for a text that
+    has no header at all.
     """
     strands = None
     letters: list[BraidLetter] = []
@@ -125,7 +127,7 @@ def parse_braid(text: str) -> BraidWord:
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     if strands is None:
-        raise ParseError(1, "empty braid text")
+        raise ParseError(None, "empty braid text")
     return BraidWord(strands, tuple(letters))
 
 
@@ -316,7 +318,7 @@ def mapping_torus_delta_fox(b: BraidWord) -> LaurentPoly:
     if not is_n_cycle(b):
         raise ValueError("the mapping-torus comparison needs an n-cycle braid")
     pres = mapping_torus_presentation(b)
-    data = alexander_data(pres)
+    data = alexander.alexander_data(pres)
     ab = data.abelianization
     if ab.rank != 2 or ab.torsion:
         raise InvariantError(

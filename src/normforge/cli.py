@@ -10,7 +10,9 @@ Exit status: 0 on success, 1 when the computation raises a flag (a
 degenerate polynomial, an unsupported presentation shape, a failed
 containment) or one of the library's own checks fails (one stderr line,
 ``invariant failed: <stage>: <witness>``), 2 on input errors, which
-carry line diagnostics.  A closed stdout ends a command with status 1, silently.
+name the input line at fault when there is one (``input error: line N:
+...``; an unreadable source or a bad option value has no line).  A
+closed stdout ends a command with status 1, silently.
 
 Reports that print unit-class quantities also print the normalization
 and variable conventions in use, so golden outputs are self-describing.
@@ -64,7 +66,7 @@ def _read_input(source: str) -> str:
     if source.startswith("@"):
         name = source[1:]
         if name not in _example_names():
-            raise words.ParseError(1, f"no bundled example {name!r}; try 'normforge examples'")
+            raise words.ParseError(None, f"no bundled example {name!r}; try 'normforge examples'")
         return _read_example(name)
     try:
         if source == "-":
@@ -72,7 +74,7 @@ def _read_input(source: str) -> str:
         with open(source, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise words.ParseError(1, f"cannot read {source!r}: {exc}") from None
+        raise words.ParseError(None, f"cannot read {source!r}: {exc}") from None
 
 
 def _frac(x: Fraction) -> list[int]:
@@ -159,10 +161,10 @@ def cmd_norm(args) -> int:
     try:
         phi = [Fraction(tok) for tok in args.phi.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise words.ParseError(1, f"malformed class {args.phi!r}; expected e.g. 1,0 or 1/2,-3")
+        raise words.ParseError(None, f"malformed class {args.phi!r}; expected e.g. 1,0 or 1/2,-3")
     if len(phi) != data.polynomial.nvars:
         raise words.ParseError(
-            1, f"class has {len(phi)} entries, expected {data.polynomial.nvars}"
+            None, f"class has {len(phi)} entries, expected {data.polynomial.nvars}"
         )
     payload = {
         "command": "norm",
@@ -514,7 +516,7 @@ def cmd_examples(args) -> int:
     names = _example_names()
     if args.name:
         if args.name not in names:
-            raise words.ParseError(1, f"no bundled example {args.name!r}")
+            raise words.ParseError(None, f"no bundled example {args.name!r}")
         sys.stdout.write(_read_example(args.name))
         return 0
     for name in names:

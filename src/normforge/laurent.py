@@ -12,9 +12,17 @@ exponent vectors, e.g. ``a^2*b - a*b - a + 1``.
 
 Arithmetic on the term dicts has two kernels: ``_dict_add`` is the one
 addition loop, and ``_dict_mul`` multiply-accumulates a signed product
-into a dict it is handed (products, pseudo-remainders, determinant
-minors).  ``LaurentPoly(nvars, terms)`` checks and copies caller terms;
-every result built here from valid terms is taken by ``_adopt`` as is.
+into a dict it is handed (products, pseudo-remainders, long division).
+``LaurentPoly(nvars, terms)`` checks and copies caller terms; every
+result built here from valid terms is taken by ``_adopt`` as is.
+
+Determinants of n x n matrices, n >= 2, run the same multiply-accumulate
+on packed exponent keys (Kronecker substitution): each row is shifted by
+the unit x^-low, low its per-variable minimum exponent, so all exponents
+are >= 0, and each variable gets an int field as wide as the bit length
+of its summed row ranges.  A minor's exponents never exceed that bound,
+so fields never carry, a product's key is the sum of its factors' keys,
+and the result is unpacked once (see :func:`poly_matrix_det`).
 
 The units of this ring are exactly the signed monomials ±x^v.
 Quantities that are only well defined up to a unit (gcds, Alexander
@@ -631,6 +639,19 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     multiply-accumulated into its minor's dict in place, so no polynomial
     is built until the determinant itself.
 
+    For n >= 2 those dicts are keyed by packed ints, not exponent tuples
+    (Kronecker substitution).  Row r is first multiplied by the unit
+    x^-low_r, low_r its per-variable minimum exponent, so every shifted
+    exponent is >= 0.  A monomial of a minor on rows r..n-1 is a sum of one
+    shifted monomial per row, so its exponent of variable i lies in
+    [0, span_i], where span_i sums (row max - row min) of variable i over
+    all rows.  Variable i gets a field ``span_i.bit_length()`` bits wide,
+    so fields never carry and a product's key is the sum of its factors'
+    keys.  The determinant is unpacked once and multiplied back by
+    x^(sum of low_r).  Python ints are unbounded, so no exponent can wrap.
+    An all-zero row returns 0 before packing; n = 1 returns a copy of the
+    entry.
+
     >>> a = LaurentPoly.variable(1, 0)
     >>> print(poly_to_text(poly_matrix_det([[a, a], [a + 1, a]]), ("a",)))
     -a
@@ -643,30 +664,64 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     nvars = rows[0][0].nvars
     if any(e.nvars != nvars for r in rows for e in r):
         raise ValueError("variable count mismatch")
+    if n == 1:
+        return LaurentPoly._adopt(nvars, dict(rows[0][0].terms))
     mat = [[e.terms for e in r] for r in rows]
-    minors: dict[tuple[int, ...], Terms] = {}
+    if not all(any(row) for row in mat):
+        # An all-zero row has no exponent range to shift by; its det is 0.
+        return LaurentPoly.zero(nvars)
 
-    def minor(cols: tuple[int, ...]) -> Terms:
+    # lows[r]: row r's per-variable minimum exponent; spans: the field bounds.
+    lows = []
+    spans = [0] * nvars
+    for row in mat:
+        columns = list(zip(*[e for entry in row for e in entry]))
+        low = [min(c) for c in columns]
+        lows.append(low)
+        spans = [s + max(c) - m for s, c, m in zip(spans, columns, low)]
+    widths = [s.bit_length() for s in spans]
+    shifts = [sum(widths[:i]) for i in range(nvars)]
+    packed = [
+        [{sum([(x - m) << s for x, m, s in zip(e, low, shifts)]): c for e, c in entry.items()}
+         for entry in row]
+        for row, low in zip(mat, lows)
+    ]
+    minors: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def minor(cols: tuple[int, ...]) -> dict[int, int]:
         k = len(cols)
-        row = mat[n - k]
+        row = packed[n - k]
         if k == 1:
             return row[cols[0]]
         found = minors.get(cols)
         if found is not None:
             return found
-        total: Terms = {}
+        total: dict[int, int] = {}
         for pos, j in enumerate(cols):
             entry = row[j]
             if entry:
                 below = minor(cols[:pos] + cols[pos + 1:])
                 if below:
-                    _dict_mul(entry, below, total, -1 if pos % 2 else 1)
+                    sign = -1 if pos % 2 else 1
+                    for k1, c1 in entry.items():
+                        c1 *= sign
+                        for k2, c2 in below.items():
+                            key = k1 + k2
+                            s = total.get(key, 0) + c1 * c2
+                            if s:
+                                total[key] = s
+                            else:
+                                del total[key]
         minors[cols] = total
         return total
 
     det = minor(tuple(range(n)))
-    # A 1x1 minor is the entry's own dict, so it is copied, not adopted.
-    return LaurentPoly._adopt(nvars, dict(det) if n == 1 else det)
+    base = [sum(c) for c in zip(*lows)]
+    masks = [(1 << w) - 1 for w in widths]
+    return LaurentPoly._adopt(nvars, {
+        tuple([((key >> s) & mask) + b for s, mask, b in zip(shifts, masks, base)]): c
+        for key, c in det.items()
+    })
 
 
 # --------------------------------------------------------------------------

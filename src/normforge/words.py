@@ -384,10 +384,15 @@ def free_abelianization(p: Presentation) -> AbelianizationMap:
 
 
 class ParseError(ValueError):
-    """Input text error, with a 1-based line number for diagnostics."""
+    """Input error, with the 1-based line number of the text it comes from.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    ``line`` is None for an error no input line causes (an unreadable
+    source, an input with no header, a bad option value); the message
+    then carries no line prefix.
+    """
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -443,5 +448,5 @@ def parse_presentation_text(text: str) -> PresentationFile:
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     if alphabet is None:
-        raise ParseError(1, "missing gens: line")
+        raise ParseError(None, "missing gens: line")
     return PresentationFile(Presentation(alphabet, tuple(relators)), named)

@@ -103,6 +103,17 @@ class TestNormCommands:
         assert status == 2
         assert "malformed class" in err
 
+    def test_errors_from_no_input_line_name_no_line(self, capsys):
+        # A bad option value or an unknown @name is no line of any input.
+        for argv, message in (
+            (("norm", "--phi", "1", "@section6.pres"), "class has 1 entries, expected 2"),
+            (("norm", "--phi", "1,zebra", "@section6.pres"),
+             "malformed class '1,zebra'; expected e.g. 1,0 or 1/2,-3"),
+            (("alexander", "@nope.pres"), "no bundled example 'nope.pres'; try 'normforge examples'"),
+            (("examples", "nope.pres"), "no bundled example 'nope.pres'"),
+        ):
+            assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
     def test_norm_ball_unbalanced_flag(self, capsys, tmp_path):
         # Delta = a + b + 1: its Newton polytope is a triangle, which no
         # point is a center of symmetry for.
@@ -243,6 +254,7 @@ class TestBraidCommands:
             ("garbage\n", "line 1: braid text must start with 'n=<strands>:'"),
             ("n=1:\n", "line 1: a braid group needs at least 2 strands"),
             ("# two lines\nn=3: 1 2\n\n-2 x\n", "line 4: malformed braid letter 'x'"),
+            ("# no braid\n", "empty braid text"),
         ],
     )
     def test_braid_input_errors_exit_2(self, capsys, monkeypatch, command, text, message):
@@ -372,14 +384,14 @@ class TestInputHandling:
         path.write_bytes(b"gens: a b\nrel: a \xff\n")
         status, out, err = run(capsys, "alexander", str(path))
         assert (status, out) == (2, "")
-        assert err.startswith(f"input error: line 1: cannot read {str(path)!r}: 'utf-8' codec")
+        assert err.startswith(f"input error: cannot read {str(path)!r}: 'utf-8' codec")
         assert err.count("\n") == 1
 
     def test_undecodable_stdin_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
         status, out, err = run(capsys, "alexander", "-")
         assert (status, out) == (2, "")
-        assert err.startswith("input error: line 1: cannot read '-': 'utf-8' codec")
+        assert err.startswith("input error: cannot read '-': 'utf-8' codec")
         assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -41,6 +42,36 @@ def random_nonzero(rng, **kw):
         p = random_poly(rng, **kw)
         if not p.is_zero():
             return p
+
+
+def leibniz(m, nvars):
+    """Determinant as the sum over all k! permutations: an oracle independent of poly_matrix_det."""
+    k = len(m)
+    total = LaurentPoly.zero(nvars)
+    for perm in itertools.permutations(range(k)):
+        sign = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = LaurentPoly.constant(nvars, sign)
+        for i in range(k):
+            term = term * m[i][perm[i]]
+        total = total + term
+    return total
+
+
+def wide_entry(rng, nvars, magnitude, absent):
+    """Up to 3 terms, each exponent within ±magnitude or small; variable ``absent`` never occurs."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = [
+            rng.randint(-magnitude, magnitude) if rng.random() < 0.5 else rng.randint(-2, 2)
+            for _ in range(nvars)
+        ]
+        e[absent] = 0
+        terms[tuple(e)] = rng.randint(-3, 3)
+    return LaurentPoly(nvars, terms)
 
 
 class TestRingStructure:
@@ -480,26 +511,8 @@ class TestPolyMatrixDet:
         assert det == A * B
 
     def test_three_by_three_against_expansion(self):
-        # Leibniz oracle over all k! permutations, independent of the
-        # memoised expansion, for sizes 1..6, sparse and dense entries,
-        # 0..3 variables, and singular matrices.
-        from itertools import permutations
-
-        def leibniz(m, nvars):
-            k = len(m)
-            total = LaurentPoly.zero(nvars)
-            for perm in permutations(range(k)):
-                sign = 1
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                term = LaurentPoly.constant(nvars, sign)
-                for i in range(k):
-                    term = term * m[i][perm[i]]
-                total = total + term
-            return total
-
+        # Leibniz oracle for sizes 1..6, sparse and dense entries, 0..3
+        # variables, and singular matrices.
         rng = random.Random(13)
         for k in range(1, 7):
             for nvars in range(4):
@@ -524,6 +537,33 @@ class TestPolyMatrixDet:
                         if singular:
                             assert expected.is_zero()
                         assert poly_matrix_det(case) == expected
+
+    def test_packed_keys_against_leibniz(self):
+        # Minors are keyed by packed ints whose field widths come from the
+        # matrix's exponent ranges: check exponents far beyond any fixed
+        # width, 4 and 5 variables, a variable absent from the whole matrix
+        # (a zero-width field) first, in the middle and last, an all-zero
+        # row, and 1x1 matrices.
+        rng = random.Random(29)
+        for magnitude in (2**20, 2**64, 10**30):
+            for nvars in (4, 5):
+                for absent in (0, nvars // 2, nvars - 1):
+                    zero = LaurentPoly.zero(nvars)
+                    big = [0] * nvars
+                    big[(absent + 1) % nvars] = magnitude
+                    up = LaurentPoly.monomial(nvars, big)
+                    down = LaurentPoly.monomial(nvars, [-x for x in big], -2)
+                    for k in (1, 2, 3, 4):
+                        m = [[wide_entry(rng, nvars, magnitude, absent) for _ in range(k)]
+                             for _ in range(k)]
+                        # Both signs of the largest exponent in one row.
+                        m[0][0] += up
+                        m[0][-1] += down
+                        det = poly_matrix_det(m)
+                        assert det == leibniz(m, nvars)
+                        assert all(e[absent] == 0 for e in det.terms)
+                        for r in range(k):
+                            assert poly_matrix_det(m[:r] + [[zero] * k] + m[r + 1:]) == zero
 
     def test_empty_row_is_not_square(self):
         with pytest.raises(ValueError, match="matrix is not square"):
@@ -575,11 +615,28 @@ class TestConstructionRule:
                 operands = (p, q, unit)
                 before = [dict(x.terms) for x in operands]
                 for path, r in self.results(rng, nvars, p, q, unit).items():
-                    assert all(type(e) is tuple and len(e) == r.nvars for e in r.terms), path
-                    assert all(type(c) is int and c != 0 for c in r.terms.values()), path
-                    for x in operands:
-                        assert r is x or r.terms is not x.terms, path
+                    self.check(path, r, operands)
                 assert [x.terms for x in operands] == before
+
+    @staticmethod
+    def check(path, r, operands):
+        assert all(type(e) is tuple and len(e) == r.nvars for e in r.terms), path
+        assert all(type(c) is int and c != 0 for c in r.terms.values()), path
+        for x in operands:
+            assert r is x or r.terms is not x.terms, path
+
+    def test_determinants_are_valid_and_unshared(self):
+        # n >= 2 unpacks int keys back to tuples; n = 1 copies its entry.
+        # Entries repeat across the matrix, and some are zero.
+        rng = random.Random(47)
+        for nvars in range(6):
+            for span in (3, 2**64):
+                for k in (1, 2, 3, 4):
+                    pool = [random_poly(rng, nvars=nvars, span=span) for _ in range(4)]
+                    before = [dict(x.terms) for x in pool]
+                    m = [[rng.choice(pool) for _ in range(k)] for _ in range(k)]
+                    self.check(f"det {k}x{k}, {nvars} variables", poly_matrix_det(m), pool)
+                    assert [x.terms for x in pool] == before
 
     def test_caller_terms_are_still_checked(self):
         # __init__ keeps its copy and checks for terms a caller supplies.

@@ -64,7 +64,8 @@ def probe(setup: str, *argv: str) -> dict:
 PRES = ["alexander", "laurent", "words"]
 HULL = [*PRES, "polytope"]
 CONES = [*HULL, "bns", "brown"]
-BRAID = [*PRES, "braid"]
+BRAID = ["braid", "laurent", "words"]
+FOX_ROUTE = [*BRAID, "alexander"]
 
 
 @pytest.mark.parametrize(
@@ -78,8 +79,9 @@ BRAID = [*PRES, "braid"]
         (("compare-question-b", "@section6.pres"), CONES),
         (("sigma-brown", "@section6.pres"), CONES),
         (("burau", "@gamma_3.braid"), BRAID),
-        (("mapping-torus", "--cross-check", "@gamma_3.braid"), BRAID),
+        (("mapping-torus", "--cross-check", "@gamma_3.braid"), FOX_ROUTE),
         (("norm-ball", "--format", "json", "@section6.pres"), HULL),
+        (("mapping-torus", "@gamma_3.braid"), BRAID),
     ],
 )
 def test_command_runs_only_the_modules_it_uses(argv, executed):

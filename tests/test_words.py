@@ -336,7 +336,7 @@ class TestPresentationFormat:
             ("gens: a b\nword : a", 2, "missing a label"),
             ("gens: a b\nnope: a", 2, "unknown item"),
             ("gens: a b\nrel a b", 2, "expected 'key: value'"),
-            ("", 1, "missing gens"),
+            ("", None, "missing gens"),
             ("gens: a b\nword m: a\nword m: b", 3, "duplicate word label"),
         ],
     )
