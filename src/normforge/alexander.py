@@ -281,18 +281,11 @@ def check_symmetry(d: LaurentPoly) -> bool:
 
 @record
 class CheckReport:
-    """Outcome of a structural check, shaped for the JSON report schema."""
+    """Outcome of a structural check; its fields, in order, are the keys of its JSON report."""
 
     check: str
     status: str  # "pass" | "fail" | "unsupported"
     witnesses: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def check_e1_structure(data: AlexanderData) -> CheckReport:

@@ -25,6 +25,7 @@ refused.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -98,7 +99,7 @@ def sigma_principal(p: LaurentPoly) -> SigmaDescription:
     if p.is_zero():
         raise ValueError("the zero polynomial has no invariant")
     poly = newton_polytope(p)
-    unit = {v: abs(poly.coefficient(v)) == 1 for v in poly.hull}
+    unit = {v: abs(c) == 1 for v, c in zip(poly.hull, poly.coefficients)}
     return SigmaDescription(
         p.nvars,
         vertex_cones(poly.hull, [v for v in poly.hull if unit[v]]),
@@ -121,10 +122,6 @@ def sigma_alexander(pres: Presentation) -> SigmaDescription:
 # --------------------------------------------------------------------------
 
 Dir = tuple[int, int]
-
-
-def _cross(u: Dir, v: Dir) -> int:
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -178,33 +175,14 @@ def cone_arc(cone: OpenCone) -> Arc | None:
     return arc if cone_contains(cone, _arc_sample(arc)) else None
 
 
-def direction_in_arc(d: Dir, arc: Arc, closed: bool = False) -> bool:
-    """Membership of a direction in an arc of width <= pi (or the full circle)."""
-    if arc.full_circle:
-        return True
-    dd = primitive(d)
-    if closed and (dd == arc.start or dd == arc.end):
-        return True
-    return _cross(arc.start, dd) > 0 and _cross(dd, arc.end) > 0
-
-
 def _angular_sort(dirs: Iterable[Dir]) -> list[Dir]:
-    # Counterclockwise from (1, 0): order by half-plane, then by cross product.
-    def half(d: Dir) -> int:
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    import functools
-
-    def cmp(u: Dir, v: Dir) -> int:
-        if u == v:
-            return 0
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = _cross(u, v)
-        return -1 if c > 0 else 1
-
-    return sorted(set(dirs), key=functools.cmp_to_key(cmp))
+    # Counterclockwise from (1, 0): the upper half-plane (with (1, 0)) before
+    # the lower one (with (-1, 0)); within each, the axis direction first,
+    # then by -x/y, which increases with the angle.
+    return sorted(
+        set(dirs),
+        key=lambda d: (d[1] < 0 or (d[1] == 0 and d[0] < 0), d[1] != 0, Fraction(-d[0], d[1] or 1)),
+    )
 
 
 @record
@@ -290,6 +268,7 @@ class ComponentComparison:
     direction of the inner cone missed by every outer component.
     ``certified`` is False only for a non-containment whose escape could
     not be confirmed (witness None), which needs overlapping outer cones.
+    The fields, in order, are the keys of its JSON report.
     """
 
     inner_label: Vec
@@ -342,13 +321,14 @@ def _compare_rank2(
     # A boundary ray of the host misses the open host and every outer cone
     # disjoint from it; it escapes whenever it lies in the open inner cone.
     # That holds for both rays when the inner cone is the whole circle, and
-    # for the ray on a side where the inner arc leaves the closed host arc.
+    # for the ray on a side where the inner arc leaves the closed host arc,
+    # the closure { d : d . c >= 0 for every host constraint c }.
     if arc_in.full_circle:
         return _escape(inner, arc_out.start, outer_components)
     if arc_in == arc_out:
         return ComponentComparison(inner.label, "equal", host.label, None, True)
     for inner_dir, outer_dir in ((arc_in.start, arc_out.start), (arc_in.end, arc_out.end)):
-        if not direction_in_arc(inner_dir, arc_out, closed=True):
+        if not all(_dot(inner_dir, c) >= 0 for c in host.constraints):
             return _escape(inner, outer_dir, outer_components)
     # Proper containment: produce a direction strictly between the
     # differing boundary pair by the mediant construction.

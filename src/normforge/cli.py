@@ -77,22 +77,16 @@ def _read_input(source: str) -> str:
         raise words.ParseError(None, f"cannot read {source!r}: {exc}") from None
 
 
-def _frac(x: Fraction) -> list[int]:
-    from fractions import Fraction
-
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
-
-
-def _fmt_num(x) -> str:
-    """An integer, a Fraction, or a [numerator, denominator] pair as text."""
-    from fractions import Fraction
-
-    return str(Fraction(*x) if isinstance(x, list) else x)
-
-
 def _fmt_point(p) -> str:
-    return "(" + ", ".join(_fmt_num(x) for x in p) + ")"
+    return "(" + ", ".join(map(str, p)) + ")"
+
+
+def _json_value(x):
+    # What ``json`` cannot encode itself: a Fraction (ints never get here,
+    # so ``fractions`` need not be imported to test for one) or a record.
+    if hasattr(x, "denominator"):
+        return [x.numerator, x.denominator]
+    return vars(x)
 
 
 def _emit(args, payload: dict, render) -> None:
@@ -100,7 +94,7 @@ def _emit(args, payload: dict, render) -> None:
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_json_value))
     else:
         print("\n".join(render(payload, args)))
 
@@ -108,8 +102,9 @@ def _emit(args, payload: dict, render) -> None:
 # --------------------------------------------------------------------------
 # Commands
 #
-# Each command computes its results once into a JSON-ready payload; the
-# text report is rendered from that payload by the formatter beside it,
+# Each command computes its results once into a payload of library values
+# (tuples, Fractions, records), which ``_emit`` prints as JSON; the text
+# report is rendered from the same payload by the formatter beside it,
 # which reads the parsed options but computes nothing.
 # --------------------------------------------------------------------------
 
@@ -128,9 +123,9 @@ def cmd_alexander(args) -> int:
     payload = {
         "command": "alexander",
         "delta": laurent.poly_to_text(data.polynomial, var_names),
-        "variables": list(var_names),
+        "variables": var_names,
         "rank": data.abelianization.rank,
-        "torsion": list(data.abelianization.torsion),
+        "torsion": data.abelianization.torsion,
         "degenerate": data.degenerate,
         "conventions": {"normalization": _NORMALIZATION_NOTE},
     }
@@ -168,10 +163,10 @@ def cmd_norm(args) -> int:
         )
     payload = {
         "command": "norm",
-        "phi": [_frac(x) for x in phi],
-        "norm": _frac(polytope.alexander_norm(data.polynomial, phi)),
+        "phi": phi,
+        "norm": polytope.alexander_norm(data.polynomial, phi),
     }
-    _emit(args, payload, lambda p, _args: [_fmt_num(p["norm"])])
+    _emit(args, payload, lambda p, _args: [str(p["norm"])])
     return 0
 
 
@@ -187,16 +182,11 @@ def cmd_norm_ball(args) -> int:
         raise CommandFlag("Newton polytope is not balanced; no dual ball") from None
     payload = {
         "command": "norm-ball",
-        "vertices": [list(v) for v in poly.hull],
-        "coefficients": list(poly.hull_coefficients()),
-        "center": [_frac(x) for x in ball.center],
-        "dual_vertices": None
-        if ball.vertices is None
-        else [[_frac(x) for x in v] for v in ball.vertices],
-        "faces": [
-            {"vertex": list(f.vertex), "normal": [_frac(x) for x in f.normal]}
-            for f in ball.faces
-        ],
+        "vertices": poly.hull,
+        "coefficients": poly.coefficients,
+        "center": ball.center,
+        "dual_vertices": ball.vertices,
+        "faces": [{"vertex": f.vertex, "normal": f.normal} for f in ball.faces],
     }
     _emit(args, payload, _norm_ball_text)
     return 0
@@ -227,23 +217,14 @@ def _sigma_payload(sigma) -> dict:
     arcs = bns.rank2_arcs(sigma)
     components = []
     for cone, arc in zip(sigma.components, arcs.arcs):
-        entry = {
-            "label": list(cone.label),
-            "constraints": [list(d) for d in cone.constraints],
-            "arc": None
-            if arc is None
-            else (
-                {"full_circle": True}
-                if arc.full_circle
-                else {"from": list(arc.start), "to": list(arc.end)}
-            ),
-        }
-        components.append(entry)
+        if arc is not None:
+            arc = {"full_circle": True} if arc.full_circle else {"from": arc.start, "to": arc.end}
+        components.append(vars(cone) | {"arc": arc})
     return {
         "components": components,
-        "excluded": [list(v) for v in sigma.excluded_vertices],
+        "excluded": sigma.excluded_vertices,
         "complement_is_finite": arcs.complement_finite,
-        "complement_points": [list(d) for d in arcs.complement_points],
+        "complement_points": arcs.complement_points,
     }
 
 
@@ -295,9 +276,9 @@ def cmd_sigma_brown(args) -> int:
     marked = brown.simple_vertices(path)
     payload = {
         "command": "sigma-brown",
-        "path": [list(p) for p in path.points],
-        "hull": [list(v) for v, _ in marked],
-        "simple": [list(v) for v, m in marked if m == 1],
+        "path": path.points,
+        "hull": [v for v, _ in marked],
+        "simple": [v for v, m in marked if m == 1],
         "criterion": "simple-vertex criterion for closed relator paths",
     } | _sigma_payload(sigma)
     _emit(args, payload, _sigma_brown_text)
@@ -354,7 +335,7 @@ def cmd_mapping_torus(args) -> int:
     payload = {
         "command": "mapping-torus",
         "delta": laurent.poly_to_text(laurent.normalize_unit(result.poly), names),
-        "variables": list(names),
+        "variables": names,
         "substitution": result.substitution,
         "n_cycle": result.n_cycle,
         "fox_cross_check": cross,
@@ -422,16 +403,7 @@ def cmd_compare_question_b(args) -> int:
         "command": "compare-question-b",
         "sigma_components": len(inner.components),
         "sigma_a_components": len(outer.components),
-        "comparisons": [
-            {
-                "inner_label": list(rep.inner_label),
-                "relation": rep.relation,
-                "outer_label": None if rep.outer_label is None else list(rep.outer_label),
-                "witness": None if rep.witness is None else list(rep.witness),
-                "certified": rep.certified,
-            }
-            for rep in reports
-        ],
+        "comparisons": reports,
         "question_b": answer,
         "summary": summary,
     }
@@ -454,12 +426,12 @@ def _compare_text(p, args) -> list[str]:
     ]
     for c in p["comparisons"]:
         target = "Σ_A component"
-        if c["outer_label"] is not None:
-            target += " " + _fmt_point(c["outer_label"])
-        witness = f"; witness direction {_fmt_point(c['witness'])}" if c["witness"] else ""
-        cert = "" if c["certified"] else "  [non-certified]"
+        if c.outer_label is not None:
+            target += " " + _fmt_point(c.outer_label)
+        witness = f"; witness direction {_fmt_point(c.witness)}" if c.witness else ""
+        cert = "" if c.certified else "  [non-certified]"
         lines.append(
-            f"component {_fmt_point(c['inner_label'])}: {_RELATION_TEXT[c['relation']]} "
+            f"component {_fmt_point(c.inner_label)}: {_RELATION_TEXT[c.relation]} "
             f"{target}{witness}{cert}"
         )
     lines.append(p["summary"])
@@ -499,7 +471,7 @@ def cmd_check(args) -> int:
                     else ("the antipodal map does not permute the hull vertices",),
                 )
             )
-    payload = {"command": "check", "checks": [rep.as_dict() for rep in reports]}
+    payload = {"command": "check", "checks": reports}
     _emit(args, payload, _check_text)
     return FLAG_EXIT if any(rep.status == "fail" for rep in reports) else 0
 
@@ -507,8 +479,8 @@ def cmd_check(args) -> int:
 def _check_text(p, args) -> list[str]:
     lines = []
     for c in p["checks"]:
-        lines.append(f"{c['check']}: {c['status']}")
-        lines += [f"  {w}" for w in c["witnesses"]]
+        lines.append(f"{c.check}: {c.status}")
+        lines += [f"  {w}" for w in c.witnesses]
     return lines
 
 
@@ -537,10 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"normforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_input=True):
+    def add(name, func, help_text):
+        # A command that reads one input and reports through ``_emit``.
         p = sub.add_parser(name, help=help_text)
-        if needs_input:
-            p.add_argument("input", help="path, '-' for stdin, or @name for a bundled example")
+        p.add_argument("input", help="path, '-' for stdin, or @name for a bundled example")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
         return p
@@ -563,8 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mt.add_argument("--cross-check", action="store_true", help="verify against the Fox-calculus route")
     add("compare-question-b", cmd_compare_question_b, "certify containment of Σ in Σ_A per component")
     add("check", cmd_check, "structural checks: Fox identity, E1 = m·(Δ), symmetry, balance")
-    p_ex = add("examples", cmd_examples, "list or print bundled example inputs", needs_input=False)
+    p_ex = sub.add_parser("examples", help="list or print bundled example inputs")
     p_ex.add_argument("name", nargs="?", help="print this bundled file")
+    p_ex.set_defaults(func=cmd_examples)
     return parser
 
 

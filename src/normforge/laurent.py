@@ -133,10 +133,6 @@ class LaurentPoly:
         """True iff this is ±x^v (the units of the Laurent ring)."""
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 
-    def support(self) -> list[Exponents]:
-        """Exponent vectors with nonzero coefficient, in descending lex order."""
-        return sorted(self.terms, reverse=True)
-
     def leading(self) -> tuple[Exponents, int]:
         """The lex-largest term, as (exponents, coefficient)."""
         if not self.terms:
@@ -736,7 +732,7 @@ def poly_to_text(p: LaurentPoly, names: Sequence[str]) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for e in p.support():
+    for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
         factors = []
         for name, k in zip(names, e):

@@ -19,7 +19,7 @@ full-dimensionality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._record import record
 from .errors import InvariantError
@@ -173,7 +173,7 @@ def _simplex(rows: list[list[int]]) -> tuple[bool, list[int], int]:
     return False, [s * (objective[n + k] + d) for k, s in enumerate(signs)], d
 
 
-def hull_vertices(points: Sequence[Point]) -> list[Point]:
+def hull_vertices(points: Iterable[Point]) -> list[Point]:
     """Extreme points of a lattice point set, in canonical order.
 
     Dimension <= 2 gives the counterclockwise hull cycle starting at the
@@ -210,31 +210,26 @@ def hull_vertices(points: Sequence[Point]) -> list[Point]:
 class LatticePolytope:
     """Convex hull of labeled lattice points (the Newton polytope role).
 
-    ``points`` and ``coefficients`` are aligned; ``hull`` is the subset
-    of extreme points in canonical order, each of which carries the
-    nonzero coefficient of its monomial.
+    ``hull`` holds the extreme points in canonical order and
+    ``coefficients[i]`` the label of ``hull[i]``, the nonzero
+    coefficient of its monomial.
     """
 
     dim: int
-    points: tuple[Point, ...]
-    coefficients: tuple[int, ...]
     hull: tuple[Point, ...]
-
-    def coefficient(self, point: Point) -> int:
-        return self.coefficients[self.points.index(point)]
-
-    def hull_coefficients(self) -> tuple[int, ...]:
-        return tuple(self.coefficient(v) for v in self.hull)
+    coefficients: tuple[int, ...]
 
 
 def lattice_polytope(points: Sequence[Point], coefficients: Sequence[int]) -> LatticePolytope:
+    """The polytope of distinct labeled points, ``coefficients[i]`` labeling ``points[i]``."""
     if len(points) != len(coefficients):
         raise ValueError("need one coefficient per point")
     if not points:
         raise ValueError("a polytope needs at least one point")
-    pts = tuple(tuple(p) for p in points)
-    dim = len(pts[0])
-    return LatticePolytope(dim, pts, tuple(coefficients), tuple(hull_vertices(pts)))
+    labels = dict(zip(map(tuple, points), coefficients))
+    if len(labels) != len(points):
+        raise ValueError("a point is repeated")
+    return _labeled_hull(labels)
 
 
 def newton_polytope(p: LaurentPoly) -> LatticePolytope:
@@ -242,13 +237,17 @@ def newton_polytope(p: LaurentPoly) -> LatticePolytope:
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> P = newton_polytope(a**2 * b - a * b - a + 1)
-    >>> P.hull
-    ((0, 0), (1, 0), (2, 1), (1, 1))
+    >>> P.hull, P.coefficients
+    (((0, 0), (1, 0), (2, 1), (1, 1)), (1, -1, 1, -1))
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
-    support = p.support()
-    return lattice_polytope(support, tuple(p.terms[e] for e in support))
+    return _labeled_hull(p.terms)
+
+
+def _labeled_hull(labels: dict[Point, int]) -> LatticePolytope:
+    hull = tuple(hull_vertices(labels))
+    return LatticePolytope(len(hull[0]), hull, tuple(labels[v] for v in hull))
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from normforge.bns import (
     cone_arc,
     cone_contains,
     compare_sigma,
-    direction_in_arc,
     primitive,
     rank2_arcs,
     sigma_alexander,
@@ -21,6 +21,15 @@ from normforge.words import presentation
 
 A = LaurentPoly.variable(2, 0)
 B = LaurentPoly.variable(2, 1)
+
+
+def cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def in_open_arc(d, arc):
+    """Oracle: d lies strictly counterclockwise of ``arc.start`` and clockwise of ``arc.end``."""
+    return arc.full_circle or (cross(arc.start, d) > 0 and cross(d, arc.end) > 0)
 
 
 def random_nonzero_poly(rng, nvars=2, max_terms=5, span=3):
@@ -195,9 +204,9 @@ class TestArcs:
         cone = OpenCone((0, 0), ((0, 1),))
         arc = cone_arc(cone)
         assert arc == Arc((1, 0), (-1, 0))
-        assert direction_in_arc((0, 1), arc)
-        assert not direction_in_arc((0, -1), arc)
-        assert not direction_in_arc((1, 0), arc)
+        assert in_open_arc((0, 1), arc)
+        assert not in_open_arc((0, -1), arc)
+        assert not in_open_arc((1, 0), arc)
 
     def test_random_cones_against_a_direction_grid(self):
         # Arc ends are turns of constraints with entries in -6..6, so a
@@ -222,8 +231,28 @@ class TestArcs:
                 dots = [end[0] * c[0] + end[1] * c[1] for c in cone.constraints]
                 assert min(dots) == 0
             assert cone_contains(cone, bns._arc_sample(arc))
-            assert all(cone_contains(cone, d) == direction_in_arc(d, arc) for d in grid)
+            assert all(cone_contains(cone, d) == in_open_arc(d, arc) for d in grid)
         assert 0 < empty < 300
+
+    def test_angular_sort_against_a_cross_product_comparator(self):
+        # The oracle orders by half-plane ((1, 0) opens the upper one,
+        # (-1, 0) the lower), then counterclockwise by the sign of the cross product.
+        def half(d):
+            return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+        def compare(u, v):
+            if half(u) != half(v):
+                return half(u) - half(v)
+            return -cross(u, v)
+
+        rng = random.Random(29)
+        for _ in range(300):
+            dirs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
+            dirs = [primitive(d) for d in dirs if d != (0, 0)]
+            dirs += rng.sample([(1, 0), (0, 1), (-1, 0), (0, -1)], rng.randint(0, 4))
+            expected = sorted(set(dirs), key=functools.cmp_to_key(compare))
+            assert bns._angular_sort(dirs) == expected
+            assert bns._angular_sort(reversed(dirs)) == expected
 
     def test_components_pairwise_disjoint(self):
         rng = random.Random(3)

@@ -54,6 +54,14 @@ class TestBundledExamples:
         assert status == 0
         assert out == bundled_examples()["section6.pres"]
 
+    def test_examples_takes_no_format(self, capsys):
+        # examples prints file names or file contents, never a report.
+        with pytest.raises(SystemExit) as caught:
+            main(["examples", "--format", "json"])
+        _, err = capsys.readouterr()
+        assert caught.value.code == 2
+        assert err.endswith("normforge: error: unrecognized arguments: --format\n")
+
     def test_unknown_example(self, capsys):
         status, _, err = run(capsys, "examples", "nope.pres")
         assert status == 2
@@ -307,6 +315,8 @@ class TestCheckCommand:
             "symmetry": "pass",
             "newton_balance": "pass",
         }
+        assert all(list(c) == ["check", "status", "witnesses"] for c in data["checks"])
+        assert data["checks"][0]["witnesses"] == ["relator 0: sum_j (dr/dx_j)(x_j - 1) = 0"]
 
     def test_computes_alexander_data_once(self, capsys, monkeypatch):
         data_calls = count_calls(monkeypatch, alexander.alexander_data)

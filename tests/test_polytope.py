@@ -174,13 +174,23 @@ class TestHull:
     def test_golden_quadrilateral(self, delta_golden):
         poly = newton_polytope(delta_golden)
         assert poly.hull == ((0, 0), (1, 0), (2, 1), (1, 1))
-        assert poly.hull_coefficients() == (1, -1, 1, -1)
-        assert dict(zip(poly.points, poly.coefficients)) == {
-            (2, 1): 1,
-            (1, 1): -1,
-            (1, 0): -1,
-            (0, 0): 1,
-        }
+        assert poly.coefficients == (1, -1, 1, -1)
+        assert poly.dim == 2
+
+    def test_coefficients_follow_the_hull(self):
+        # An interior point and a point between two vertices carry no label.
+        poly = lattice_polytope([(1, 1), (2, 0), (0, 2), (0, 0), (1, 0), (2, 2)], [7, 2, 3, 4, 8, 5])
+        assert poly.hull == ((0, 0), (2, 0), (2, 2), (0, 2))
+        assert poly.coefficients == (4, 2, 5, 3)
+
+    def test_lattice_polytope_rejects_bad_labels(self):
+        for points, coefficients, message in (
+            ([(0, 0), (1, 0), (0, 0)], [1, 2, 3], "a point is repeated"),
+            ([(0, 0), (1, 0)], [1], "need one coefficient per point"),
+            ([], [], "a polytope needs at least one point"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                lattice_polytope(points, coefficients)
 
     def test_constant(self):
         poly = newton_polytope(LaurentPoly.constant(3, 5))

@@ -54,7 +54,7 @@ FIELDS = {
     alexander.ElementaryIdealGens: ("index", "minor_size", "generators"),
     alexander.AlexanderData: ("polynomial", "matrix", "e1_units", "degenerate", "rank_zero"),
     alexander.CheckReport: ("check", "status", "witnesses"),
-    polytope.LatticePolytope: ("dim", "points", "coefficients", "hull"),
+    polytope.LatticePolytope: ("dim", "hull", "coefficients"),
     polytope.Face: ("vertex", "normal", "endpoints"),
     polytope.NormBall: ("center", "faces", "vertices"),
     bns.OpenCone: ("label", "constraints"),
