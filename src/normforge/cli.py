@@ -14,6 +14,11 @@ name the input line at fault when there is one (``input error: line N:
 ...``; an unreadable source or a bad option value has no line).  A
 closed stdout ends a command with status 1, silently.
 
+The parser is built for the requested command alone (see
+:func:`_build_parser`); ``-h``, ``--version``, no command or an unknown
+one build every command's, and the text argparse prints is the same
+either way.
+
 Reports that print unit-class quantities also print the normalization
 and variable conventions in use, so golden outputs are self-describing.
 Rational numbers appear in JSON as [numerator, denominator] pairs.
@@ -501,51 +506,65 @@ def cmd_examples(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Name -> (help, options beyond ``input`` and ``--format`` as add_argument
+# (name, keywords) pairs).  ``examples`` alone takes no input or format.
+# ``main`` looks ``cmd_<name>`` up when the command runs, so a wrapper put
+# in its place (a tracer, a test) is the one called.
+_COMMANDS = {
+    "alexander": ("Alexander polynomial of a presentation", ()),
+    "norm": ("Alexander norm of a cohomology class", (
+        ("--phi", dict(required=True, help="comma-separated rationals, e.g. 1,0")),)),
+    "norm-ball": ("Newton polytope, balance center, and dual norm ball", ()),
+    "sigma-a": ("BNS invariant computed from the Alexander polynomial", ()),
+    "sigma-brown": ("BNS invariant by the lattice-path simple-vertex procedure", ()),
+    "burau": ("reduced Burau matrix of a braid word", ()),
+    "mapping-torus": ("det(wI - Burau) of a braid mapping torus", (
+        ("--substitution", dict(
+            choices=("direct", "inverse"),
+            default="direct",
+            help="variable identification t -> t' (direct) or t -> t'^{-1} (inverse)",
+        )),
+        ("--presentation", dict(action="store_true", help="also print the mapping-torus presentation")),
+        ("--cross-check", dict(action="store_true", help="verify against the Fox-calculus route")),
+    )),
+    "compare-question-b": ("certify containment of Σ in Σ_A per component", ()),
+    "check": ("structural checks: Fox identity, E1 = m·(Δ), symmetry, balance", ()),
+    "examples": ("list or print bundled example inputs", (
+        ("name", dict(nargs="?", help="print this bundled file")),)),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it names one, else of every command."""
     parser = argparse.ArgumentParser(
         prog="normforge",
         description="Exact Alexander/BNS/Burau invariants of finitely presented groups.",
     )
     parser.add_argument("--version", action="version", version=f"normforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        # A command that reads one input and reports through ``_emit``.
+    if command in _COMMANDS:
+        # The usage line still lists every command.  The full build keeps the
+        # default metavar, which also names the argument in two error messages.
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path, '-' for stdin, or @name for a bundled example")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
-        return p
-
-    add("alexander", cmd_alexander, "Alexander polynomial of a presentation")
-    p_norm = add("norm", cmd_norm, "Alexander norm of a cohomology class")
-    p_norm.add_argument("--phi", required=True, help="comma-separated rationals, e.g. 1,0")
-    add("norm-ball", cmd_norm_ball, "Newton polytope, balance center, and dual norm ball")
-    add("sigma-a", cmd_sigma_a, "BNS invariant computed from the Alexander polynomial")
-    add("sigma-brown", cmd_sigma_brown, "BNS invariant by the lattice-path simple-vertex procedure")
-    add("burau", cmd_burau, "reduced Burau matrix of a braid word")
-    p_mt = add("mapping-torus", cmd_mapping_torus, "det(wI - Burau) of a braid mapping torus")
-    p_mt.add_argument(
-        "--substitution",
-        choices=("direct", "inverse"),
-        default="direct",
-        help="variable identification t -> t' (direct) or t -> t'^{-1} (inverse)",
-    )
-    p_mt.add_argument("--presentation", action="store_true", help="also print the mapping-torus presentation")
-    p_mt.add_argument("--cross-check", action="store_true", help="verify against the Fox-calculus route")
-    add("compare-question-b", cmd_compare_question_b, "certify containment of Σ in Σ_A per component")
-    add("check", cmd_check, "structural checks: Fox identity, E1 = m·(Δ), symmetry, balance")
-    p_ex = sub.add_parser("examples", help="list or print bundled example inputs")
-    p_ex.add_argument("name", nargs="?", help="print this bundled file")
-    p_ex.set_defaults(func=cmd_examples)
+        if name != "examples":
+            p.add_argument("input", help="path, '-' for stdin, or @name for a bundled example")
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        for option, kwargs in options:
+            p.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        status = args.func(args)
+        status = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -84,6 +84,16 @@ class Word:
                 reduced.append((idx, sign))
         self.letters = tuple(reduced)
 
+    @classmethod
+    def _adopt(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> "Word":
+        # Takes ``letters`` as they are, without the checks and reduction of
+        # __init__: the caller guarantees a tuple alphabet and a freely reduced
+        # tuple of letters (index in range, sign ±1).
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.letters = letters
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -109,7 +119,7 @@ class Word:
         return Word(self.alphabet, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, [(i, -s) for i, s in reversed(self.letters)])
+        return Word._adopt(self.alphabet, tuple((i, -s) for i, s in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
@@ -128,7 +138,7 @@ class Word:
         letters, n, k = self.letters, len(self.letters), 0
         while n - 2 * k >= 2 and letters[k] == (letters[n - 1 - k][0], -letters[n - 1 - k][1]):
             k += 1
-        return Word(self.alphabet, letters[k:n - k])
+        return Word._adopt(self.alphabet, letters[k:n - k])
 
     def __str__(self) -> str:
         # A reduced word's runs of one repeated letter are its powers.
@@ -155,10 +165,14 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """
     if not alphabet:
         raise ValueError("cannot parse a word over an empty alphabet")
+    alphabet = tuple(alphabet)
     if text.strip() == "1":
-        return Word(alphabet)
+        return Word._adopt(alphabet, ())
     index = {g.name: i for i, g in enumerate(alphabet)}
-    letters: list[Letter] = []
+    # Free reduction on whole tokens: a stack of [generator, exponent] runs,
+    # neighbours on different generators, each exponent nonzero.
+    runs: list[list[int]] = []
+    length = 0
     for pos, token in enumerate(text.split()):
         name, caret, exp_text = token.partition("^")
         if name not in index:
@@ -174,13 +188,22 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 raise ValueError(f"zero exponent in token {pos + 1} ({token!r})")
         else:
             exp = 1
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+        length += abs(exp)
+        if length > MAX_WORD_LETTERS:
             raise ValueError(
                 f"word longer than {MAX_WORD_LETTERS} letters at token {pos + 1} ({token!r})"
             )
-        sign = 1 if exp > 0 else -1
-        letters.extend([(index[name], sign)] * abs(exp))
-    return Word(alphabet, letters)
+        gen = index[name]
+        if runs and runs[-1][0] == gen:
+            runs[-1][1] += exp
+            if not runs[-1][1]:
+                runs.pop()
+        else:
+            runs.append([gen, exp])
+    letters: list[Letter] = []
+    for gen, exp in runs:
+        letters += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+    return Word._adopt(alphabet, tuple(letters))
 
 
 @record

@@ -1,13 +1,15 @@
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import normforge
-from normforge import alexander, bns, braid
+from normforge import alexander, bns, braid, cli
 from normforge.cli import bundled_examples, main
 
 
@@ -414,3 +416,58 @@ class TestInputHandling:
             _, out, _ = run(capsys, "sigma-a", "@section6.pres", "--format", "json")
             outputs.add(out)
         assert len(outputs) == 1
+
+
+# Command lines whose usage, help or error text depends on the parser.
+PARSER_CASES = [
+    (),
+    ("-h",),
+    ("--version",),
+    ("bogus",),
+    *((name, "-h") for name in cli._COMMANDS),
+    ("alexander",),
+    ("norm", "@section6.pres"),
+    ("alexander", "@section6.pres", "extra"),
+    ("alexander", "@section6.pres", "--format", "xml"),
+    ("mapping-torus", "@gamma_3.braid", "--substitution", "sideways"),
+    ("examples", "a", "b"),
+    ("alexander", "--version"),
+    ("--version", "alexander"),
+    ("mapping-torus", "@gamma_3.braid", "--cross"),
+]
+
+
+def subcommands(parser) -> list[str]:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_single_command_build_matches_full_build(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            return status, captured.out, captured.err
+
+        monkeypatch.setenv("COLUMNS", "80")
+        single = outcome()
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
+        assert outcome() == single
+
+    def test_builds_only_the_named_command(self):
+        assert subcommands(cli._build_parser("norm")) == ["norm"]
+        for command in (None, "bogus"):
+            assert subcommands(cli._build_parser(command)) == list(cli._COMMANDS)
+        assert len(cli._COMMANDS) == 10
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text("utf-8"))
+        monkeypatch.setattr(sys, "argv", ["normforge", "alexander", "@section6.pres"])
+        expected = golden["alexander @section6.pres --format text"]
+        status, out, err = main(), *capsys.readouterr()
+        assert {"status": status, "stdout": out, "stderr": err} == expected

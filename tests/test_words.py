@@ -89,6 +89,25 @@ class TestParsing:
             parse_word(f"a^{half} b a^-{half}", AB)
         assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
 
+    def test_word_length_limit_counts_before_reduction(self):
+        # The two tokens cancel to the identity, but only after 1.2e6 letters.
+        with pytest.raises(ValueError, match=r"token 2 \('a\^-600000'\)"):
+            parse_word("a^600000 a^-600000", AB)
+
+    def test_tokens_reduce_like_expanded_letters(self):
+        # Differential: whole-token reduction against Word's letter-by-letter one.
+        rng = random.Random(16)
+        for _ in range(3000):
+            alphabet = make_alphabet("a b c"[: 2 * rng.randint(1, 3) - 1])
+            tokens, letters = [], []
+            for _ in range(rng.randrange(12)):
+                gen = rng.randrange(len(alphabet))
+                exp = rng.choice((1, 2, 3)) * rng.choice((1, -1))
+                name = alphabet[gen].name
+                tokens.append(name if exp == 1 and rng.random() < 0.5 else f"{name}^{exp}")
+                letters += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+            assert parse_word(" ".join(tokens), alphabet) == Word(alphabet, letters)
+
 
 # Independent oracle for the relator length: the sum of |exponent| over
 # the printed tokens, computed without touching the Word machinery.
