@@ -12,7 +12,7 @@ exponent vectors, e.g. ``a^2*b - a*b - a + 1``.
 
 Arithmetic on the term dicts has two kernels: ``_dict_add`` is the one
 addition loop, and ``_dict_mul`` multiply-accumulates a signed product
-into a dict it is handed (products, pseudo-remainders, long division).
+into a dict it is handed (products and long division).
 ``LaurentPoly(nvars, terms)`` checks and copies caller terms; every
 result built here from valid terms is taken by ``_adopt`` as is.
 
@@ -37,11 +37,16 @@ e + Zv: the quotient is minus the running sum of the dividend along each
 line, and exists iff every line sums to zero.  Every other divisor takes
 plain leading-term long division, one ``_dict_mul`` per quotient term.
 
-The gcd is computed by clearing monomial content and then running a
-primitive polynomial remainder sequence in Z[x_1, ..., x_n], recursing
-on the number of variables (content and primitive part are taken with
-respect to the last variable).  Coefficients are arbitrary-precision
-throughout, so intermediate growth in the remainder sequence is safe.
+The gcd is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989) on polynomials shifted to the origin.  Each input's
+integer content is set aside, the last variable is evaluated at an
+integer xi = 2 min(|p|, |q|) + 2 (max-norms of the primitive parts), and
+the gcd of the two images, found the same way down to an integer gcd, is
+lifted back by its symmetric xi-adic digits.  The primitive part of the
+lift is the gcd if it divides both inputs exactly; otherwise xi grows
+and the step repeats.  So every result carries a division certificate.
+An inner level returns its gcd with the integer content, which encodes
+the evaluated variable.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ import re
 from math import gcd as _igcd
 from operator import add, sub
 from typing import Mapping, Sequence
-
-from .errors import InvariantError
 
 Exponents = tuple[int, ...]
 Terms = dict[Exponents, int]
@@ -307,6 +310,37 @@ def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Term-dict kernels
+# --------------------------------------------------------------------------
+
+
+def _dict_add(a: Terms, b: Terms, sign: int) -> Terms:
+    # a + sign * b as a new dict; a sum that cancels always has a term to delete.
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _dict_mul(a: Terms, b: Terms, out: Terms, sign: int = 1) -> Terms:
+    # out += sign * a * b in place, and returns out; out must be neither a nor b.
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+# --------------------------------------------------------------------------
 # Exact division
 # --------------------------------------------------------------------------
 
@@ -411,125 +445,58 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 
 
 # --------------------------------------------------------------------------
-# Gcd via primitive polynomial remainder sequences
+# Gcd by evaluation and lifting (GCDHEU)
 # --------------------------------------------------------------------------
 
-# The recursion views Z[x_1..x_n] as R[x_n] with R = Z[x_1..x_{n-1}].
-# A "split" polynomial is a dict from x_n-degree to a coefficient dict in
-# the remaining n-1 variables.
 
-
-def _split_last(terms: Terms) -> dict[int, Terms]:
-    out: dict[int, Terms] = {}
+def _evaluate_last(terms: Terms, xi: int) -> Terms:
+    # terms with the last variable set to xi, in the remaining variables.
+    out: Terms = {}
     for e, c in terms.items():
-        out.setdefault(e[-1], {})[e[:-1]] = c
-    return out
-
-
-def _join_last(split: dict[int, Terms]) -> Terms:
-    return {e + (k,): c for k, sub in split.items() for e, c in sub.items()}
-
-
-def _dict_add(a: Terms, b: Terms, sign: int) -> Terms:
-    # a + sign * b as a new dict; a sum that cancels always has a term to delete.
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + sign * c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
-
-
-def _dict_mul(a: Terms, b: Terms, out: Terms, sign: int = 1) -> Terms:
-    # out += sign * a * b in place, and returns out; out must be neither a nor b.
-    for e1, c1 in a.items():
-        c1 *= sign
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+        out[e[:-1]] = out.get(e[:-1], 0) + c * xi ** e[-1]
+    return {e: c for e, c in out.items() if c}
 
 
 def _poly_gcd(p: Terms, q: Terms, nvars: int) -> Terms:
-    """Gcd of ordinary (nonnegative-exponent) polynomials, up to sign."""
+    """Gcd of ordinary (nonnegative-exponent) polynomials up to sign, integer content included."""
     if not p:
         return dict(q)
     if not q:
         return dict(p)
+    cp, cq = _igcd(*p.values()), _igcd(*q.values())
+    content = _igcd(cp, cq)
     if nvars == 0:
-        return {(): _igcd(p[()], q[()])}
-
-    ps = _split_last(p)
-    qs = _split_last(q)
-    cont_p = _content(ps, nvars - 1)
-    cont_q = _content(qs, nvars - 1)
-    pp = _divide_coeffs(ps, cont_p)
-    qq = _divide_coeffs(qs, cont_q)
-    cont = _poly_gcd(cont_p, cont_q, nvars - 1)
-
-    u, v = (pp, qq) if max(pp) >= max(qq) else (qq, pp)
-    while v:
-        r = _prem(u, v, nvars)
-        if r:
-            r = _divide_coeffs(r, _content(r, nvars - 1))
-        u, v = v, r
-    return _dict_mul(_join_last(u), {e + (0,): c for e, c in cont.items()}, {})
-
-
-def _content(split: dict[int, Terms], nvars: int) -> Terms:
-    it = iter(split.values())
-    g = dict(next(it))
-    for coeff in it:
-        g = _poly_gcd(g, coeff, nvars)
-        if len(g) == 1 and abs(next(iter(g.values()))) == 1 and not any(next(iter(g))):
-            break
-    return g
-
-
-def _divide_coeffs(split: dict[int, Terms], content: Terms) -> dict[int, Terms]:
-    out: dict[int, Terms] = {}
-    for k, coeff in split.items():
-        q = _dict_div_exact(coeff, content)
-        if q is None:
-            raise InvariantError(
-                "gcd", f"content {content} does not divide the coefficient {coeff} of degree {k}"
-            )
-        out[k] = q
-    return out
-
-
-def _prem(u: dict[int, Terms], v: dict[int, Terms], nvars: int) -> dict[int, Terms]:
-    # Iterated pseudo-remainder of u by v in R[x_n]; the result differs
-    # from the true remainder by a power of lc(v), which the primitive
-    # remainder sequence removes again.
-    dv = max(v)
-    lv = v[dv]
-    r = dict(u)
-    while r and max(r) >= dv:
-        dr = max(r)
-        lr = r.pop(dr)
-        new = {k: _dict_mul(lv, c, {}) for k, c in r.items()}
-        for k, c in v.items():
-            if k == dv:
-                continue
-            kk = k + dr - dv
-            if not _dict_mul(lr, c, new.setdefault(kk, {}), -1):
-                del new[kk]
-        r = new
-    return r
+        return {(): content}
+    p = {e: c // cp for e, c in p.items()}
+    q = {e: c // cq for e, c in q.items()}
+    xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 2
+    # A given xi fails only if the cofactors' specialisations share a factor; finitely many do.
+    while True:
+        h = _poly_gcd(_evaluate_last(p, xi), _evaluate_last(q, xi), nvars - 1)
+        g: Terms = {}  # h's coefficients in symmetric base xi are g's along the last variable
+        for e, c in h.items():
+            i = 0
+            while c:
+                d = c % xi
+                if d > xi // 2:
+                    d -= xi
+                if d:
+                    g[e + (i,)] = d
+                c = (c - d) // xi
+                i += 1
+        cg = _igcd(*g.values())
+        g = {e: c // cg for e, c in g.items()}
+        if _dict_div_exact(p, g) is not None and _dict_div_exact(q, g) is not None:
+            return {e: c * content for e, c in g.items()}
+        xi = xi * 73794 // 27011
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """A greatest common divisor in Z[x^±1], unit-normalized.
 
     Monomial factors are units here, so they never appear in the result:
-    gcd(2ab, 4a^2) is the constant 2.
+    gcd(2ab, 4a^2) is the constant 2.  The result, found by evaluation and
+    lifting (GCDHEU), is returned only once it divides p and q exactly.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> gcd(2 * a * b, 4 * a**2) == 2

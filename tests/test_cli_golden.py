@@ -48,6 +48,11 @@ INPUTS = (
     ("not_cycle.braid", BRAID_COMMANDS),
     ("z2.pres", PRES_COMMANDS),  # Z^2: Delta = 1, four Brown components
     ("rank0.pres", (("alexander",), ("check",))),  # b_1 = 0
+    # three 20-letter relators on three generators, b_1 = 3: Delta = 1 is the gcd of
+    # nine 3-variable E_1 minors
+    ("swell3.pres", (("alexander",), ("check",))),
+    # link3.pres plus the relator r1*r3: deficiency zero, so Delta is a 3-variable gcd
+    ("link3_r1r3.pres", (("alexander",),)),
 )
 
 

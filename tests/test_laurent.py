@@ -323,10 +323,34 @@ class TestGcd:
             q = random_nonzero(rng)
             assert equal_up_to_unit(gcd(p, q), gcd(q, p))
 
-    def test_content_that_does_not_divide_raises(self):
-        # The check survives python -O: 2 does not divide the coefficient 3.
-        with pytest.raises(ArithmeticError, match=r"gcd: content \{\(0,\): 2\} does not divide"):
-            laurent._divide_coeffs({0: {(0,): 4}, 1: {(0,): 3}}, {(0,): 2})
+    def test_candidate_that_does_not_divide_is_retried(self):
+        # At the first evaluation point, 4, the candidate lifted from
+        # gcd(2*4^4 - 5, 4^6 - 1) = 39 is 2x^2 + 2x - 1, which divides neither input.
+        x = LaurentPoly.variable(1, 0)
+        assert gcd(-4 * x**2 + 10 * x**-2, -6 * x**3 + 6 * x**-3) == 2
+
+    def test_three_variable_pair_with_coefficient_swell(self):
+        names = ("a", "b", "c")
+        p = parse_poly("-6*a^4*b^4*c^2 + 6*b^2*c^-3", names)
+        q = parse_poly(
+            "-12*a^4*c^3 + 6*a^4*b^-2*c^3 + 15*a^3*b^-1*c^-1 + 12*a*b^2*c^-3", names
+        )
+        assert gcd(p, q) == LaurentPoly.constant(3, 3)
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_common_factor_in_several_variables(self, nvars):
+        rng = random.Random(nvars)
+        for _ in range(40):
+            f, g, h, r = (
+                random_nonzero(rng, nvars=nvars, max_terms=3, span=2, max_coeff=5)
+                for _ in range(4)
+            )
+            p, q = f * g, f * h
+            d = gcd(p, q)
+            assert divide_exact(p, d) is not None
+            assert divide_exact(q, d) is not None
+            assert divide_exact(d, f) is not None
+            assert equal_up_to_unit(gcd(p * r, q * r), d * r)
 
     def test_gcd_many_and_integers(self):
         assert gcd_many([6 * A, 4 * B, 10 * A * B]) == LaurentPoly.constant(2, 2)
