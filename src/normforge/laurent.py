@@ -16,13 +16,17 @@ into a dict it is handed (products and long division).
 ``LaurentPoly(nvars, terms)`` checks and copies caller terms; every
 result built here from valid terms is taken by ``_adopt`` as is.
 
-Determinants of n x n matrices, n >= 2, run the same multiply-accumulate
-on packed exponent keys (Kronecker substitution): each row is shifted by
-the unit x^-low, low its per-variable minimum exponent, so all exponents
-are >= 0, and each variable gets an int field as wide as the bit length
-of its summed row ranges.  A minor's exponents never exceed that bound,
-so fields never carry, a product's key is the sum of its factors' keys,
-and the result is unpacked once (see :func:`poly_matrix_det`).
+Determinants of n x n matrices, n >= 2, pack exponents into int keys
+(Kronecker substitution): each row is shifted by the unit x^-low, low its
+per-variable minimum exponent, so all exponents are >= 0, and each
+variable is one digit of a mixed-radix key whose radix exceeds its summed
+row ranges.  A minor's exponents never exceed that bound, so digits never
+carry and a product's key is the sum of its factors' keys.  Minors are
+memoised by column bitmask.  Where the minors are likely to fill their
+key range, each is one big int holding a coefficient digit per key, so
+entry x minor is a shift and an add per entry term; otherwise each is a
+dict multiply-accumulated like ``_dict_mul``.  The result is decoded once
+(see :func:`poly_matrix_det`).
 
 The units of this ring are exactly the signed monomials ±x^v.
 Quantities that are only well defined up to a unit (gcds, Alexander
@@ -52,8 +56,10 @@ the evaluated variable.
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd as _igcd
-from operator import add, sub
+from math import prod
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -589,31 +595,61 @@ def exponent_map(p: LaurentPoly, matrix: Sequence[Sequence[int]]) -> LaurentPoly
 # --------------------------------------------------------------------------
 
 
+# A dense minor is one int of at most this many bits (512 KiB); the memo
+# holds up to one per column subset, so wider matrices take the dict kernel.
+_DENSE_MAX_BITS = 1 << 22
+
+
 def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Determinant of a square matrix of Laurent polynomials.
 
     Determinants by cofactor expansion with memoised minors: Laplace
-    expansion along successive rows, where the minor on rows ``r..k-1``
-    and a sorted column subset is computed once, keyed by that subset
-    (its length fixes ``r``).  Zero entries and zero minors are skipped.
-    The cost is bounded by the number of column subsets reached, at most
-    ``k * 2^k`` and far fewer on sparse matrices, instead of ``k!``.
-    Minors are term dicts: each signed product entry x sub-minor is
-    multiply-accumulated into its minor's dict in place, so no polynomial
-    is built until the determinant itself.
+    expansion along successive rows, where the minor on rows ``r..n-1``
+    and a column subset is computed once, keyed by that subset as a
+    bitmask (its popcount fixes ``r``).  Zero entries and zero minors are
+    skipped.  The cost is bounded by the number of column subsets reached,
+    at most ``n * 2^n`` and far fewer on sparse matrices, instead of
+    ``n!``.  An all-zero row returns 0; n = 1 returns a copy of the entry.
 
-    For n >= 2 those dicts are keyed by packed ints, not exponent tuples
-    (Kronecker substitution).  Row r is first multiplied by the unit
-    x^-low_r, low_r its per-variable minimum exponent, so every shifted
-    exponent is >= 0.  A monomial of a minor on rows r..n-1 is a sum of one
-    shifted monomial per row, so its exponent of variable i lies in
-    [0, span_i], where span_i sums (row max - row min) of variable i over
-    all rows.  Variable i gets a field ``span_i.bit_length()`` bits wide,
-    so fields never carry and a product's key is the sum of its factors'
-    keys.  The determinant is unpacked once and multiplied back by
-    x^(sum of low_r).  Python ints are unbounded, so no exponent can wrap.
-    An all-zero row returns 0 before packing; n = 1 returns a copy of the
-    entry.
+    For n >= 2 exponents are packed into int keys (Kronecker substitution).
+    Row r is first multiplied by the unit x^-low_r, low_r its per-variable
+    minimum exponent, so every shifted exponent is >= 0.  A monomial of a
+    minor on rows r..n-1 is a sum of one shifted monomial per row, so its
+    exponent of variable i lies in [0, span_i], where span_i sums
+    (row max - row min) of variable i over all rows.  Variable i is the
+    digit of radix span_i + 1 in a mixed-radix key, so digits never carry,
+    a product's key is the sum of its factors' keys, and every key is below
+    ``slots``, the product of the radices.  The determinant is unpacked
+    once and multiplied back by x^(sum of low_r).
+
+    Two kernels expand the minors.  The dict kernel keeps a minor as a
+    dict from key to coefficient and multiply-accumulates each signed
+    product entry x sub-minor into it.  The dense kernel keeps a minor as
+    one int, the sum of c * 2^(b * key) over its terms, so a product is one
+    shift and one add or subtract per entry term, with a multiply only for
+    a coefficient other than +-1.  Every coefficient of a minor on rows
+    r..n-1 is a signed sum of products of one entry coefficient per row
+    of those rows, so in absolute value it is at most the product of
+    their row norms sum_j ||a_rj||_1.  Every row norm is >= 1 (an all-zero
+    row returned above), so B = the product of all n row norms bounds
+    every minor, and a digit width b, a multiple of 8 with
+    b >= bitlen(B) + 1 (8, 16, 32 or 64 up to 64 bits), holds each
+    coefficient as a digit below 2^(b-1) in absolute value.  So the int
+    is 0 exactly when its minor is, and its digits can be read back
+    without carries.  The determinant's int is decoded once:
+    adding the constant with digit 2^(b-1) in every slot makes each digit
+    c + 2^(b-1), and XOR with the same constant turns that into c in b-bit
+    two's complement, read from ``to_bytes`` through a signed
+    ``memoryview.cast`` (b <= 64 on a little-endian machine) or by
+    ``int.from_bytes`` per slot.
+
+    The dense int costs its full width whether or not a slot is used, so
+    the dense kernel runs only where the minors are likely to fill it
+    (:func:`_goes_dense`): the rows average at least 4 terms, the product
+    of the rows' term counts (a bound on the determinant's term count) is
+    at least ``slots``, and b * slots is at most ``_DENSE_MAX_BITS``.
+    Matrices with about 2 terms per row (Burau matrices), wide exponents
+    or few rows over a large exponent box take the dict kernel.
 
     >>> a = LaurentPoly.variable(1, 0)
     >>> print(poly_to_text(poly_matrix_det([[a, a], [a + 1, a]]), ("a",)))
@@ -634,39 +670,74 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         # An all-zero row has no exponent range to shift by; its det is 0.
         return LaurentPoly.zero(nvars)
 
-    # lows[r]: row r's per-variable minimum exponent; spans: the field bounds.
+    # Per row: the shift low_r, the term count and the coefficient 1-norm.
     lows = []
     spans = [0] * nvars
+    counts = []
+    bound = 1
     for row in mat:
-        columns = list(zip(*[e for entry in row for e in entry]))
+        exps = [e for entry in row for e in entry]
+        columns = list(zip(*exps))
         low = [min(c) for c in columns]
         lows.append(low)
         spans = [s + max(c) - m for s, c, m in zip(spans, columns, low)]
-    widths = [s.bit_length() for s in spans]
-    shifts = [sum(widths[:i]) for i in range(nvars)]
+        counts.append(len(exps))
+        bound *= sum([abs(c) for entry in row for c in entry.values()])
+    strides = [1]
+    for s in spans:
+        strides.append(strides[-1] * (s + 1))
+    slots = strides.pop()
+    need = bound.bit_length() + 1
+    bits = max(8, 1 << (need - 1).bit_length()) if need <= 64 else -(-need // 8) * 8
+    dense = _goes_dense(counts, slots, bits)
+    # Entries become lists of (key, coefficient); a dense key is a bit offset, key * bits.
+    scale = [s * bits for s in strides] if dense else strides
     packed = [
-        [{sum([(x - m) << s for x, m, s in zip(e, low, shifts)]): c for e, c in entry.items()}
-         for entry in row]
-        for row, low in zip(mat, lows)
+        [[(sum(map(mul, e, scale)) - origin, c) for e, c in entry.items()] for entry in row]
+        for row, origin in zip(mat, [sum(map(mul, low, scale)) for low in lows])
     ]
-    minors: dict[tuple[int, ...], dict[int, int]] = {}
+    det = _dense_det(packed, slots, bits) if dense else _dict_det(packed)
+    base = [sum(c) for c in zip(*lows)]
+    keys = list(det)
+    # Variable i's exponent in each term: digit i of its key, shifted back.
+    per_variable = [[k // s % (span + 1) + b for k in keys]
+                    for s, span, b in zip(strides, spans, base)]
+    vectors = list(zip(*per_variable)) if nvars else [()] * len(keys)
+    return LaurentPoly._adopt(nvars, dict(zip(vectors, det.values())))
 
-    def minor(cols: tuple[int, ...]) -> dict[int, int]:
-        k = len(cols)
-        row = packed[n - k]
-        if k == 1:
-            return row[cols[0]]
-        found = minors.get(cols)
-        if found is not None:
-            return found
+
+def _goes_dense(counts: list[int], slots: int, bits: int) -> bool:
+    """Whether the dense kernel runs, from the rows' term counts and the int's size."""
+    return sum(counts) >= 4 * len(counts) and prod(counts) >= slots and bits * slots <= _DENSE_MAX_BITS
+
+
+def _nonzero_entries(packed: list[list[list[tuple[int, int]]]]) -> list[list[tuple]]:
+    """Per row, (column bit, mask of the columns left of it, terms) for each nonzero entry.
+
+    Expanding a minor along its first row, the entry in column j has sign
+    (-1)^(number of the minor's columns left of j).
+    """
+    return [[(1 << j, (1 << j) - 1, entry) for j, entry in enumerate(row) if entry]
+            for row in packed]
+
+
+def _dict_det(packed: list[list[list[tuple[int, int]]]]) -> dict[int, int]:
+    """The dict kernel: each minor a dict from packed key to coefficient."""
+    n = len(packed)
+    rows = _nonzero_entries(packed)
+    # Memo by column bitmask; the one-column minors are the last row's entries.
+    minors = {1 << j: dict(entry) for j, entry in enumerate(packed[-1])}
+
+    def minor(mask: int, r: int) -> dict[int, int]:
         total: dict[int, int] = {}
-        for pos, j in enumerate(cols):
-            entry = row[j]
-            if entry:
-                below = minor(cols[:pos] + cols[pos + 1:])
+        for bit, left, entry in rows[r]:
+            if mask & bit:
+                below = minors.get(mask ^ bit)
+                if below is None:
+                    below = minor(mask ^ bit, r + 1)
                 if below:
-                    sign = -1 if pos % 2 else 1
-                    for k1, c1 in entry.items():
+                    sign = -1 if (mask & left).bit_count() & 1 else 1
+                    for k1, c1 in entry:
                         c1 *= sign
                         for k2, c2 in below.items():
                             key = k1 + k2
@@ -675,16 +746,50 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                                 total[key] = s
                             else:
                                 del total[key]
-        minors[cols] = total
+        minors[mask] = total
         return total
 
-    det = minor(tuple(range(n)))
-    base = [sum(c) for c in zip(*lows)]
-    masks = [(1 << w) - 1 for w in widths]
-    return LaurentPoly._adopt(nvars, {
-        tuple([((key >> s) & mask) + b for s, mask, b in zip(shifts, masks, base)]): c
-        for key, c in det.items()
-    })
+    return minor((1 << n) - 1, 0)
+
+
+def _dense_det(packed: list[list[list[tuple[int, int]]]], slots: int, bits: int) -> dict[int, int]:
+    """The dense kernel: each minor one int with a ``bits``-wide digit per key.
+
+    ``packed`` holds each entry's terms as (bit offset, coefficient) pairs.
+    """
+    n = len(packed)
+    rows = _nonzero_entries(packed)
+    minors = {1 << j: sum([c << s for s, c in entry]) for j, entry in enumerate(packed[-1])}
+
+    def minor(mask: int, r: int) -> int:
+        total = 0
+        for bit, left, entry in rows[r]:
+            if mask & bit:
+                below = minors.get(mask ^ bit)
+                if below is None:
+                    below = minor(mask ^ bit, r + 1)
+                if below:
+                    sign = -1 if (mask & left).bit_count() & 1 else 1
+                    for s, c in entry:
+                        c *= sign
+                        if c == 1:
+                            total += below << s
+                        elif c == -1:
+                            total -= below << s
+                        else:
+                            total += (below << s) * c
+        minors[mask] = total
+        return total
+
+    size = bits // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    data = ((minor((1 << n) - 1, 0) + offset) ^ offset).to_bytes(size * slots, "little")
+    if size <= 8 and sys.byteorder == "little":
+        digits = memoryview(data).cast("bhiq"[size.bit_length() - 1])
+    else:
+        digits = [int.from_bytes(data[i:i + size], "little", signed=True)
+                  for i in range(0, size * slots, size)]
+    return {key: c for key, c in enumerate(digits) if c}
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -365,12 +366,16 @@ class AbelianizationMap:
     def image(self, w: Word) -> tuple[int, ...]:
         if w.alphabet != self.alphabet:
             raise ValueError("word is over a different alphabet")
-        e = w.exponent_vector()
-        return tuple(sum(row[j] * e[j] for j in range(len(e))) for row in self.matrix)
+        return _project(self.matrix, w.exponent_vector())
 
     def generator_image(self, index: int) -> tuple[int, ...]:
         """Image of a single generator in Z^rank (a column of the matrix)."""
         return tuple(row[index] for row in self.matrix)
+
+
+def _project(matrix: tuple[tuple[int, ...], ...], e: Sequence[int]) -> tuple[int, ...]:
+    """Image of the exponent vector ``e`` under ``matrix``."""
+    return tuple(sum(map(mul, row, e)) for row in matrix)
 
 
 def free_abelianization(p: Presentation) -> AbelianizationMap:
@@ -392,8 +397,8 @@ def free_abelianization(p: Presentation) -> AbelianizationMap:
     torsion = tuple(x for x in diag if x > 1)
     matrix = tuple(tuple(u[i]) for i in free_rows)
     m = AbelianizationMap(p.alphabet, len(free_rows), matrix, torsion)
-    for k, w in enumerate(p.relators):
-        image = m.image(w)
+    for k, col in enumerate(cols):
+        image = _project(matrix, col)
         if any(image):
             raise InvariantError(
                 "free abelianization", f"relator {k} projects to {image}, not to zero"

@@ -593,6 +593,89 @@ class TestPolyMatrixDet:
         with pytest.raises(ValueError, match="matrix is not square"):
             poly_matrix_det([[]])
 
+    @staticmethod
+    def kernel_choices(monkeypatch, rows):
+        """The kernel choices ``poly_matrix_det(rows)`` makes: True for dense, False for dict."""
+        choices = []
+        choose = laurent._goes_dense
+
+        def spy(*sizes):
+            choices.append(choose(*sizes))
+            return choices[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(laurent, "_goes_dense", spy)
+            poly_matrix_det(rows)
+        return choices
+
+    def test_both_kernels_against_leibniz(self, monkeypatch):
+        # Each matrix runs through the dict kernel and the dense kernel,
+        # whatever the size rule would pick: 0-3 variables, sizes 2-6,
+        # negative exponents, a variable absent from the whole matrix, and
+        # coefficients small (digits of at most 64 bits, read through
+        # memoryview.cast) or up to 2^40 (digits wider than 64 bits, read
+        # slot by slot).
+        rng = random.Random(53)
+        widths = set()
+        dense_det = laurent._dense_det
+
+        def dense_spy(packed, slots, bits):
+            widths.add(bits)
+            return dense_det(packed, slots, bits)
+
+        monkeypatch.setattr(laurent, "_dense_det", dense_spy)
+        for max_coeff in (3, 2**40):
+            for nvars in range(4):
+                absent = rng.randrange(nvars) if nvars >= 2 else None
+                for k in range(2, 7):
+                    m = []
+                    for _ in range(k):
+                        row = []
+                        for _ in range(k):
+                            p = random_poly(rng, nvars=nvars, max_terms=3, span=2, max_coeff=max_coeff)
+                            if absent is not None:
+                                p = LaurentPoly(nvars, {e[:absent] + (0,) + e[absent + 1:]: c
+                                                        for e, c in p.terms.items()})
+                            row.append(p)
+                        m.append(row)
+                    expected = leibniz(m, nvars)
+                    for dense in (False, True):
+                        monkeypatch.setattr(laurent, "_goes_dense", lambda *sizes: dense)
+                        det = poly_matrix_det(m)
+                        assert det == expected, (max_coeff, nvars, k, dense)
+                        if absent is not None:
+                            assert all(e[absent] == 0 for e in det.terms)
+        assert min(widths) <= 64 < max(widths)
+
+    def test_kernel_choice(self, monkeypatch):
+        from normforge import alexander, braid
+
+        # An 8x8 minor of the Fox matrix of the seed-0 braid-torus anchor
+        # braid: about 20 terms per row, so its minors fill their slots.
+        anchor = braid.parse_braid(
+            "n=8: 4 -5 -6 -4 2 4 4 -1 6 3 -5 -4 -1 4 -1 6 -5 -2 3 4 -2 5 6 1 -7"
+        )
+        fox = alexander.alexander_matrix(braid.mapping_torus_presentation(anchor)).entries
+        assert self.kernel_choices(monkeypatch, [row[1:] for row in fox]) == [True]
+        # Burau(gamma_120): about 2 terms per row, near-monomial minors.
+        assert self.kernel_choices(monkeypatch, braid.burau(braid.gamma(120)).entries) == [False]
+        # Wide exponents: the dense int would have more than 2^20 slots.
+        rng = random.Random(29)
+        for magnitude in (2**20, 10**30):
+            for k in (2, 3, 4):
+                m = [[wide_entry(rng, 4, magnitude, 0) + 1 for _ in range(k)] for _ in range(k)]
+                assert self.kernel_choices(monkeypatch, m) == [False]
+        # Few rows over a large exponent box: at most 4 * 4 terms in 101^2 slots.
+        box = [[sum(A**rng.randint(-25, 25) * B**rng.randint(-25, 25) for _ in range(2))
+                for _ in range(2)] for _ in range(2)]
+        assert self.kernel_choices(monkeypatch, box) == [False]
+        # Enough terms to fill the slots, but the int would exceed 2^22 bits:
+        # 4 monomials per row of a 12 x 12 band, each row spanning 3 * 2^16.
+        x = LaurentPoly.variable(1, 0)
+        band = [[x ** ((j - i) % 12 * 2**16) if (j - i) % 12 < 4 else LaurentPoly.zero(1)
+                 for j in range(12)] for i in range(12)]
+        assert self.kernel_choices(monkeypatch, band) == [False]
+
 
 class TestConstructionRule:
     """Every result built from valid terms is adopted without a copy or a check.
