@@ -22,6 +22,10 @@ action on the free group of the punctured disc:
 
     sigma_i:  x_i -> x_i x_{i+1} x_i^{-1},   x_{i+1} -> x_i.
 
+beta_* is composed once per braid, as a table of the generator images
+beta_*(x_1), ..., beta_*(x_n) built left to right over the braid letters;
+the presentation's relators and :func:`braid_action` both read it.
+
 For an n-cycle braid the free abelianization has rank 2 with basis (the
 common puncture-loop class, the suspension class); in that basis the
 determinant formula holds with the identity substitution t -> t' under
@@ -53,8 +57,11 @@ from .words import (
 BraidLetter = tuple[int, int]  # (generator index in 1..n-1, sign)
 
 # Most strands a BraidWord may have: ``burau`` builds an (n-1) x (n-1) matrix,
-# so ``n=100000: 1`` would exhaust memory.  ``normforge burau`` on gamma(256)
-# takes 2.1 s and 72 MB (one x86-64 vCPU, Python 3.11).
+# so ``n=100000: 1`` would exhaust memory.  The bound caps that matrix, not the
+# determinant after it: on gamma(256), one subprocess run of ``normforge burau``
+# takes 0.5-0.9 s and 33 MB, and one of ``normforge mapping-torus`` 30-42 s and
+# 455 MB, nearly all in the 255 x 255 determinant det(wI - B) (2-vCPU x86-64
+# VM shared with other load, Python 3.11.7).
 MAX_STRANDS = 256
 
 
@@ -215,39 +222,39 @@ def burau(b: BraidWord) -> BurauMatrix:
 # --------------------------------------------------------------------------
 
 
-def _apply_generator(idx: int, sign: int, w: Word) -> Word:
-    # Image of a free-group word under the action of sigma_idx^sign on
-    # the puncture generators x_1..x_n (the last alphabet letter, s, is
-    # never touched by braid letters).
-    alphabet = w.alphabet
-    i = idx - 1
-    out: list[tuple[int, int]] = []
-    if sign > 0:
-        # x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i
-        images = {
-            (i, 1): [(i, 1), (i + 1, 1), (i, -1)],
-            (i, -1): [(i, 1), (i + 1, -1), (i, -1)],
-            (i + 1, 1): [(i, 1)],
-            (i + 1, -1): [(i, -1)],
-        }
-    else:
-        # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}
-        images = {
-            (i, 1): [(i + 1, 1)],
-            (i, -1): [(i + 1, -1)],
-            (i + 1, 1): [(i + 1, -1), (i, 1), (i + 1, 1)],
-            (i + 1, -1): [(i + 1, -1), (i, -1), (i + 1, 1)],
-        }
-    for letter in w.letters:
-        out.extend(images.get(letter, [letter]))
-    return Word(alphabet, out)
+def _puncture_images(b: BraidWord, alphabet: tuple[Generator, ...]) -> list[Word]:
+    """beta_* of each letter of ``alphabet``, whose first b.strands letters are x_1..x_n.
+
+    Built left to right over the braid letters: (u sigma)_* = u_* o sigma_*,
+    so appending sigma_i^±1 rewrites the images u, v of x_i, x_{i+1} alone.
+    Letters past the punctures (s) map to themselves.
+    """
+    images = [Word._adopt(alphabet, ((k, 1),)) for k in range(len(alphabet))]
+    for idx, sign in b.letters:
+        u, v = images[idx - 1], images[idx]
+        if sign > 0:
+            images[idx - 1], images[idx] = u * v * u.inverse(), u
+        else:
+            images[idx - 1], images[idx] = v, v.inverse() * u * v
+    return images
 
 
 def braid_action(b: BraidWord, w: Word) -> Word:
-    """Image of w under beta_*; letters act so that (uv)_* = u_* o v_*."""
-    for idx, sign in reversed(b.letters):
-        w = _apply_generator(idx, sign, w)
-    return w
+    """Image of w under beta_*; letters act so that (uv)_* = u_* o v_*.
+
+    The first b.strands letters of w's alphabet are the punctures x_1..x_n;
+    any later letter (s) is left as it is.
+    """
+    if len(w.alphabet) < b.strands:
+        raise ValueError(
+            f"a braid on {b.strands} strands acts on words over at least {b.strands}"
+            f" generators, not {len(w.alphabet)}"
+        )
+    images = _puncture_images(b, w.alphabet)
+    out: list[tuple[int, int]] = []
+    for k, sign in w.letters:
+        out.extend((images[k] if sign > 0 else images[k].inverse()).letters)
+    return Word(w.alphabet, out)
 
 
 def braid_alphabet(n: int) -> tuple[Generator, ...]:
@@ -258,12 +265,11 @@ def mapping_torus_presentation(b: BraidWord) -> Presentation:
     """Presentation of the mapping torus: ⟨x_1..x_n, s | s x_i s^-1 = beta_*(x_i)⟩."""
     n = b.strands
     alphabet = braid_alphabet(n)
-    s = Word(alphabet, [(n, 1)])
-    relators = []
-    for i in range(n):
-        xi = Word(alphabet, [(i, 1)])
-        relators.append(s * xi * s.inverse() * braid_action(b, xi).inverse())
-    return Presentation(alphabet, tuple(relators))
+    relators = tuple(
+        Word(alphabet, ((n, 1), (i, 1), (n, -1)) + image.inverse().letters)
+        for i, image in enumerate(_puncture_images(b, alphabet)[:n])
+    )
+    return Presentation(alphabet, relators)
 
 
 @record
@@ -290,16 +296,15 @@ def mapping_torus_delta(b: BraidWord, t_substitution: str = "direct") -> Mapping
     """
     if t_substitution not in ("direct", "inverse"):
         raise ValueError("t_substitution must be 'direct' or 'inverse'")
-    m = burau(b)
-    dim = m.dim
-    # Embed into Z[t^±, w^±] with t = variable 0, w = variable 1.
-    w = LaurentPoly.variable(2, 1)
+    # wI - B in Z[t^±, w^±] (t = variable 0, w = variable 1), built from B's
+    # terms: none has a power of w, so the diagonal's w is a term of its own.
     rows = []
-    for i in range(dim):
+    for i, burau_row in enumerate(burau(b).entries):
         row = []
-        for j in range(dim):
-            entry = exponent_map(m.entries[i][j], [[1], [0]])
-            row.append((w if i == j else LaurentPoly.zero(2)) - entry)
+        for j, entry in enumerate(burau_row):
+            terms = {(0, 1): 1} if i == j else {}
+            terms.update(((e, 0), -c) for (e,), c in entry.terms.items())
+            row.append(LaurentPoly._adopt(2, terms))
         rows.append(row)
     det = poly_matrix_det(rows)
     if t_substitution == "inverse":

@@ -609,7 +609,8 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     bitmask (its popcount fixes ``r``).  Zero entries and zero minors are
     skipped.  The cost is bounded by the number of column subsets reached,
     at most ``n * 2^n`` and far fewer on sparse matrices, instead of
-    ``n!``.  An all-zero row returns 0; n = 1 returns a copy of the entry.
+    ``n!``.  An all-zero row returns 0; n = 1 returns the entry itself,
+    since values are immutable.
 
     For n >= 2 exponents are packed into int keys (Kronecker substitution).
     Row r is first multiplied by the unit x^-low_r, low_r its per-variable
@@ -664,7 +665,7 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     if any(e.nvars != nvars for r in rows for e in r):
         raise ValueError("variable count mismatch")
     if n == 1:
-        return LaurentPoly._adopt(nvars, dict(rows[0][0].terms))
+        return rows[0][0]
     mat = [[e.terms for e in r] for r in rows]
     if not all(any(row) for row in mat):
         # An all-zero row has no exponent range to shift by; its det is 0.

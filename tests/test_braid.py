@@ -23,7 +23,7 @@ from normforge.laurent import (
     poly_to_text,
 )
 from normforge.polytope import newton_polytope
-from normforge.words import Word, free_abelianization, presentation
+from normforge.words import Word, free_abelianization, make_alphabet, presentation
 
 T = LaurentPoly.variable(1, 0)
 
@@ -204,6 +204,51 @@ class TestBraidAction:
             for i in range(n):
                 xi = Word(alphabet, [(i, 1)])
                 assert braid_action(u * v, xi) == braid_action(u, braid_action(v, xi))
+
+    @staticmethod
+    def reference_action(b, w):
+        # The substitution rules letter by letter, from the last braid letter
+        # to the first: sigma_i sends x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i;
+        # sigma_i^-1 sends x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}.
+        for idx, sign in reversed(b.letters):
+            i, j = idx - 1, idx
+            if sign > 0:
+                images = {i: [(i, 1), (j, 1), (i, -1)], j: [(i, 1)]}
+            else:
+                images = {i: [(j, 1)], j: [(j, -1), (i, 1), (j, 1)]}
+            out = []
+            for k, e in w.letters:
+                image = images.get(k, [(k, 1)])
+                out.extend(image if e > 0 else [(g, -f) for g, f in reversed(image)])
+            w = Word(w.alphabet, out)
+        return w
+
+    def test_matches_letter_by_letter_reference(self):
+        # Random braids (both signs, up to 3n letters) on random words that
+        # contain s, and every relator of the mapping-torus presentation.
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            b = random_braid(rng, n=n, max_len=3 * n)
+            alphabet = braid_alphabet(n)
+            letters = [(rng.randrange(n + 1), rng.choice((1, -1))) for _ in range(rng.randrange(10))]
+            letters.insert(rng.randint(0, len(letters)), (n, rng.choice((1, -1))))
+            w = Word(alphabet, letters)
+            assert braid_action(b, w) == self.reference_action(b, w)
+            s = Word(alphabet, [(n, 1)])
+            relators = mapping_torus_presentation(b).relators
+            assert len(relators) == n
+            for i, relator in enumerate(relators):
+                xi = Word(alphabet, [(i, 1)])
+                assert relator == s * xi * s.inverse() * self.reference_action(b, xi).inverse()
+
+    def test_alphabet_shorter_than_the_braid_is_refused(self):
+        # Refused whichever letters the braid touches.
+        ab = make_alphabet("a b")
+        for letters in (((1, 1),), ((2, 1),)):
+            for w in (Word(ab, [(0, 1)]), Word(ab, [(1, -1)])):
+                with pytest.raises(ValueError, match="at least 3 generators, not 2"):
+                    braid_action(BraidWord(3, letters), w)
 
 
 class TestMappingTorus:

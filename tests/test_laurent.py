@@ -682,9 +682,10 @@ class TestConstructionRule:
 
     So each adopted dict must hold only nonzero coefficients under exponent
     tuples of the result's length, and must not be an operand's dict (the
-    in-place multiply-accumulate kernel and the 1x1 determinant would then
-    change a value that is shared).  A path may return an operand itself,
-    since values are immutable, but never a new polynomial around its dict.
+    in-place multiply-accumulate kernel would then change a value that is
+    shared).  A path may return an operand itself (the 1x1 determinant
+    does), since values are immutable, but never a new polynomial around
+    its dict.
     """
 
     @staticmethod
@@ -733,7 +734,7 @@ class TestConstructionRule:
             assert r is x or r.terms is not x.terms, path
 
     def test_determinants_are_valid_and_unshared(self):
-        # n >= 2 unpacks int keys back to tuples; n = 1 copies its entry.
+        # n >= 2 unpacks int keys back to tuples; n = 1 returns its entry.
         # Entries repeat across the matrix, and some are zero.
         rng = random.Random(47)
         for nvars in range(6):
