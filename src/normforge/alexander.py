@@ -7,7 +7,10 @@ the free abelianized quotient.  Fox's fundamental identity
 
     sum_j (dr/dx_j) (x_j - 1) = r - 1 = 0   in Z[ab(G)]
 
-holds on every row and is checked at construction.
+holds on every row.  :func:`alexander_matrix` walks each relator once with
+the prefix packed into one int key, checks the full identity on that
+packed row, and only then decodes its entries; a matrix built from caller
+entries checks the identity itself (see :class:`AlexanderMatrix`).
 
 The i-th elementary ideal is generated by the (s-i) x (s-i) minors of
 this matrix (s = number of generators), with the usual Fitting-ideal
@@ -28,8 +31,9 @@ the unit witness of every other minor (see
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add
-from typing import Sequence
+from math import prod
+from operator import mul
+from typing import Callable, Sequence
 
 from ._record import record
 from .errors import InvariantError
@@ -52,31 +56,66 @@ from .words import (
 )
 
 
-def _fox_row(w: Word, ab: AbelianizationMap) -> list[LaurentPoly]:
-    """The derivatives dw/dx_j for every generator x_j, in one pass over w.
+def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list[int], Callable]:
+    """The Fox row of w on packed int keys, in one pass: (row, steps, unpack).
 
-    The letter x_j^±1 after the prefix u adds +u_bar (or -u_bar x_j_bar^-1)
-    to dw/dx_j alone, so each letter touches one entry of the row.
+    A prefix's exponent vector is one int (Kronecker substitution).  Its
+    coordinate i is within b_i = len(w) * max_j |x_j's move along i| of 0,
+    so it is the digit of radix 2 b_i + 1, offset by b_i, and digits never
+    carry.  The letter x_j^±1 after the prefix u adds +u_bar (or
+    -u_bar x_j_bar^-1) to dw/dx_j alone: one int add and one dict update.
+    ``row[j]`` holds dw/dx_j by key, zeros kept; ``steps[j]`` is x_j's
+    packed image; ``unpack`` decodes such a dict, zeros dropped.
     """
-    images = [ab.generator_image(j) for j in range(len(w.alphabet))]
-    inverses = [tuple([-x for x in v]) for v in images]
-    row: list[dict[tuple[int, ...], int]] = [{} for _ in images]
-    prefix = (0,) * ab.rank
+    images = list(zip(*ab.matrix)) or [()] * len(w.alphabet)
+    bounds = [len(w) * max(map(abs, moves)) for moves in ab.matrix]
+    radices = [2 * b + 1 for b in bounds]
+    strides = [prod(radices[:i]) for i in range(ab.rank)]
+    steps = [sum(map(mul, v, strides)) for v in images]
+    row: list[dict[int, int]] = [{} for _ in images]
+    key = sum(map(mul, bounds, strides))
     for idx, sign in w.letters:
         terms = row[idx]
         if sign > 0:
-            c = terms.get(prefix, 0) + 1
-            prefix_next = tuple(map(add, prefix, images[idx]))
+            terms[key] = terms.get(key, 0) + 1
+            key += steps[idx]
         else:
-            prefix = tuple(map(add, prefix, inverses[idx]))
-            c = terms.get(prefix, 0) - 1
-            prefix_next = prefix
-        if c:
-            terms[prefix] = c
-        else:
-            del terms[prefix]
-        prefix = prefix_next
-    return [LaurentPoly._adopt(ab.rank, terms) for terms in row]
+            key -= steps[idx]
+            terms[key] = terms.get(key, 0) - 1
+
+    def unpack(terms: dict[int, int]) -> LaurentPoly:
+        if not terms:  # most entries of a long presentation's rows
+            return LaurentPoly._adopt(ab.rank, {})
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        digits = [[k // s % r - b for k in terms] for s, r, b in zip(strides, radices, bounds)]
+        vectors = zip(*digits) if digits else [()] * len(terms)
+        return LaurentPoly._adopt(ab.rank, dict(zip(vectors, terms.values())))
+
+    return row, steps, unpack
+
+
+def _check_identity(i: int, row: list[dict[int, int]], steps: list[int], unpack: Callable) -> None:
+    """Fox's identity sum_j (dr/dx_j)(x_j - 1) = 0 on relator i's packed row.
+
+    Each term c x^e of dr/dx_j adds c at e + v_j and -c at e to one residue.
+    On a walked row both are prefixes of the walk, inside its box, so the
+    residue is zero on packed keys exactly when it is zero.
+    """
+    residue: dict[int, int] = {}
+    get = residue.get
+    for terms, step in zip(row, steps):
+        for k, c in terms.items():
+            residue[k] = get(k, 0) - c
+            k += step
+            residue[k] = get(k, 0) + c
+    if any(residue.values()):
+        raise _identity_failure(i, unpack(residue))
+
+
+def _identity_failure(i: int, residue: LaurentPoly) -> InvariantError:
+    witness = f"relator {i}: residue {residue!r}"
+    return InvariantError("fundamental identity", witness, f"fundamental identity fails on {witness}")
 
 
 def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> LaurentPoly:
@@ -99,15 +138,19 @@ def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> Lauren
         target = next(i for i, g in enumerate(w.alphabet) if g.name == name)
     except StopIteration:
         raise ValueError(f"generator {name!r} is not in the alphabet") from None
-    return _fox_row(w, ab)[target]
+    row, _, unpack = _fox_row(w, ab)
+    return unpack(row[target])
 
 
 @record
 class AlexanderMatrix:
     """Abelianized Fox derivative matrix of a presentation.
 
-    Construction checks Fox's fundamental identity for every relator and
-    raises :class:`InvariantError` naming the relator and its residue.
+    Every instance has passed Fox's fundamental identity on every relator.
+    :func:`alexander_matrix` checks it on the packed rows it walks and
+    builds the matrix through ``_adopt`` without checking again; a matrix
+    built from caller entries checks it in ``__post_init__``.  Both raise
+    :class:`InvariantError` naming the relator and its residue.
     """
 
     presentation: Presentation
@@ -122,33 +165,32 @@ class AlexanderMatrix:
     def ncols(self) -> int:
         return len(self.presentation.alphabet)
 
+    @classmethod
+    def _adopt(cls, presentation, abelianization, entries) -> "AlexanderMatrix":
+        # Takes rows whose identity the caller has checked, without __post_init__.
+        mat = object.__new__(cls)
+        mat.__dict__.update(presentation=presentation, abelianization=abelianization, entries=entries)
+        return mat
+
     def __post_init__(self) -> None:
-        # Fox's fundamental identity: sum_j (dr/dx_j)(x_j - 1) = 0 for each relator r.
-        # Each term c x^e of dr/dx_j adds c at e + v_j and -c at e to one residue.
+        # Caller entries: the residue sum_j (dr/dx_j)(x_j - 1) of each row, in full.
         ab = self.abelianization
-        images = [ab.generator_image(j) for j in range(self.ncols)]
+        binomials = [LaurentPoly.monomial(ab.rank, ab.generator_image(j)) - 1 for j in range(self.ncols)]
         for i, row in enumerate(self.entries):
-            residue: dict[tuple[int, ...], int] = {}
-            for entry, v in zip(row, images):
-                if not any(v):
-                    continue
-                for e, c in entry.terms.items():
-                    residue[e] = residue.get(e, 0) - c
-                    shifted = tuple(map(add, e, v))
-                    residue[shifted] = residue.get(shifted, 0) + c
-            if any(residue.values()):
-                witness = f"relator {i}: residue {LaurentPoly(ab.rank, residue)!r}"
-                raise InvariantError(
-                    "fundamental identity",
-                    witness,
-                    f"fundamental identity fails on {witness}",
-                )
+            residue = sum(map(mul, row, binomials), LaurentPoly.zero(ab.rank))
+            if residue:
+                raise _identity_failure(i, residue)
 
 
 def alexander_matrix(p: Presentation) -> AlexanderMatrix:
-    """Matrix of abelianized Fox derivatives of the relators."""
+    """Matrix of abelianized Fox derivatives of the relators, Fox's identity checked."""
     ab = free_abelianization(p)
-    return AlexanderMatrix(p, ab, tuple(tuple(_fox_row(r, ab)) for r in p.relators))
+    entries = []
+    for i, r in enumerate(p.relators):
+        row, steps, unpack = _fox_row(r, ab)
+        _check_identity(i, row, steps, unpack)
+        entries.append(tuple(map(unpack, row)))
+    return AlexanderMatrix._adopt(p, ab, tuple(entries))
 
 
 @record
@@ -325,9 +367,10 @@ def check_e1_structure(data: AlexanderData) -> CheckReport:
 def check_fundamental_identity(data: AlexanderData) -> CheckReport:
     """Report the Fox fundamental identity row by row.
 
-    Every :class:`AlexanderMatrix` checks the identity when it is built
-    and raises :class:`InvariantError` on a nonzero residue, so the matrix
-    handed in has already passed it.
+    The matrix handed in has already passed it: :func:`alexander_matrix`
+    checks the full residue on each packed Fox row before decoding it, and
+    a matrix built from caller entries checks it in ``__post_init__``; a
+    nonzero residue raises :class:`InvariantError` in either case.
     """
     return CheckReport(
         "fundamental_identity",

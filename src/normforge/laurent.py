@@ -36,10 +36,13 @@ and then making the leading (lex-largest) coefficient positive;
 :func:`split_unit` also returns the unit it removed.
 
 Exact division by a unit binomial ±x^a (x^v - 1), the divisor of the
-deficiency-one Alexander polynomial, runs line by line along the cosets
-e + Zv: the quotient is minus the running sum of the dividend along each
-line, and exists iff every line sums to zero.  Every other divisor takes
-plain leading-term long division, one ``_dict_mul`` per quotient term.
+deficiency-one Alexander polynomial, is one sort and one scan: each
+dividend term gets an int key that orders the terms by lattice line
+e + Zv and then by position along the line.  The quotient is minus the
+running sum of the dividend along each line, written into every gap up
+to the next key, and exists iff every line sums to zero.  Every other
+divisor takes plain leading-term long division, one ``_dict_mul`` per
+quotient term.
 
 The gcd is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989) on polynomials shifted to the origin.  Each input's
@@ -57,9 +60,10 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import accumulate, repeat
 from math import gcd as _igcd
 from math import prod
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -382,46 +386,54 @@ def _unit_binomial(d: Terms) -> tuple[Exponents, Exponents] | None:
 
 
 def _divide_by_binomial(num: Terms, a: Exponents, v: Exponents) -> Terms | None:
-    # p / (x^a (x^v - 1)) for p = num, line by line.  On each lattice line
-    # e + Zv, p = (x^v - 1) q reads p_e = q_{e-v} - q_e, so q_e = q_{e-v} - p_e
-    # is minus the running sum of p along the line, and q exists iff every
-    # line sums to zero.  A line is keyed by its point whose coordinate i (the
-    # first with v_i != 0) is e_i mod v_i, and e sits k = e_i // v_i steps of v
-    # beyond it.  All sums are checked before any term is written.
+    # p / (x^a (x^v - 1)) for p = num, by one sort and one scan.  On each
+    # lattice line e + Zv, p = (x^v - 1) q reads p_e = q_{e-v} - q_e, so
+    # q_e = q_{e-v} - p_e is minus the running sum of p along the line, and q
+    # exists iff every line sums to zero.  e lies k = e_i // v_i steps of v
+    # (i the first index with v_i != 0) beyond its line's point e - kv, and
+    # packs to the int key (e - kv) . S + k.  The strides S are multiples of
+    # K = 2 span + 1, span the range of k, over radices wide enough that
+    # e - kv never carries.  So one step of v adds 1 to a key, a line's keys
+    # lie within span of each other, and keys of two lines lie further apart.
+    # Sorted, the keys run line by line: each gap between two keys of one line
+    # takes the running sum, and a wider gap after a nonzero sum is a line
+    # that does not sum to zero.  q is found in p's coordinates, then shifted.
     i = next(j for j, x in enumerate(v) if x)
     vi = v[i]
-    lines: dict[Exponents, dict[int, int]] = {}
-    for e, c in num.items():
-        k = e[i] // vi
-        key = tuple([x - k * y for x, y in zip(e, v)])
-        line = lines.get(key)
-        if line is None:
-            lines[key] = {k: c}
-        else:
-            line[k] = c
-    if any(sum(line.values()) for line in lines.values()):
-        return None
-    # q's term k steps along the line, times x^-a, in its final coordinates.
+    columns = list(zip(*num))
+    span = abs(max(columns[i]) // vi - min(columns[i]) // vi)
+    radices = [max(column) - min(column) + abs(y) * span + 1 for column, y in zip(columns, v)]
+    strides = list(accumulate(radices[:-1], mul, initial=2 * span + 1))
+    keys = map(mul, map(floordiv, columns[i], repeat(vi)), repeat(1 - sum(map(mul, v, strides))))
+    for column, stride in zip(columns, strides):
+        keys = map(add, keys, map(mul, column, repeat(stride)))
+    keyed = dict(zip(keys, num.items()))
     quo: Terms = {}
-    for key, line in lines.items():
-        base = tuple([x - y for x, y in zip(key, a)])
-        steps = sorted(line)
-        s = 0
-        for k, nxt in zip(steps, steps[1:]):
-            s -= line[k]
-            if s:
-                for t in range(k, nxt):
-                    quo[tuple([x + t * y for x, y in zip(base, v)])] = s
-    return quo
+    s = 0
+    for key in sorted(keyed):
+        if s:
+            gap = key - last
+            if gap > span:
+                return None
+            quo[e] = s
+            for _ in range(gap - 1):
+                e = tuple(map(add, e, v))
+                quo[e] = s
+        e, c = keyed[key]
+        s -= c
+        last = key
+    if s:
+        return None
+    return {tuple(map(sub, e, a)): c for e, c in quo.items()} if any(a) else quo
 
 
 def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """The exact quotient p / d in the Laurent ring, or None if d does not divide p.
 
     The quotient is unique when it exists (the ring is a domain).  A unit
-    binomial ±x^a (x^v - 1) divides line by line along e + Zv in time
-    linear in p and the quotient; every other divisor takes leading-term
-    long division.
+    binomial ±x^a (x^v - 1) divides line by line along e + Zv, in one sort
+    of p's terms and one scan that writes each quotient term once; every
+    other divisor takes leading-term long division.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> q = divide_exact(a**2 * b - a * b - a + 1, a - 1)

@@ -101,7 +101,8 @@ class TestFoxDerivative:
             matrix = tuple(tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(rank))
             ab = AbelianizationMap(alphabet, rank, matrix, ())
             w = random_word(rng, alphabet, max_len=30)
-            row = alexander._fox_row(w, ab)
+            packed, _, unpack = alexander._fox_row(w, ab)
+            row = [unpack(terms) for terms in packed]
             assert len(row) == s
             for j, g in enumerate(alphabet):
                 expected = LaurentPoly.zero(rank)
@@ -113,6 +114,59 @@ class TestFoxDerivative:
                 assert row[j] == expected
                 assert fox_derivative(w, g, ab) == row[j]
                 assert fox_derivative(w, g.name, ab) == row[j]
+
+    @staticmethod
+    def tuple_row(w, ab):
+        """Reference Fox row: the prefix walked as a tuple, one letter at a time."""
+        images = [ab.generator_image(j) for j in range(len(w.alphabet))]
+        row = [{} for _ in images]
+        prefix = (0,) * ab.rank
+        for idx, sign in w.letters:
+            if sign < 0:
+                prefix = tuple(p - x for p, x in zip(prefix, images[idx]))
+            row[idx][prefix] = row[idx].get(prefix, 0) + sign
+            if sign > 0:
+                prefix = tuple(p + x for p, x in zip(prefix, images[idx]))
+        return [LaurentPoly(ab.rank, terms) for terms in row]
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_packed_row_to_the_ends_of_its_box(self, rank):
+        # Coordinate i of a prefix lies within b_i = len(w) * max_j |v_j[i]|
+        # of 0.  Generator a moves by the largest |entry| in every coordinate,
+        # so a^n and a^-n walk to opposite corners of that box, and the
+        # identity's residue x^(image of w) - 1 reaches the last prefix.
+        rng = random.Random(f"fox box {rank}")
+        alphabet = make_alphabet("a b c d")
+        for _ in range(4):
+            big = rng.randint(1, 1000)
+            matrix = tuple(
+                (rng.choice([-big, big]), *(rng.randint(-big, big) for _ in range(3)))
+                for _ in range(rank)
+            )
+            ab = AbelianizationMap(alphabet, rank, matrix, ())
+            n = rng.randint(1900, 2100)
+            words = [
+                Word(alphabet, [(0, 1)] * n),
+                Word(alphabet, [(0, -1)] * n),
+                Word(alphabet, [(rng.randrange(4), rng.choice([1, -1])) for _ in range(n)]),
+            ]
+            for w in words:
+                packed, steps, unpack = alexander._fox_row(w, ab)
+                row = [unpack(terms) for terms in packed]
+                assert row == self.tuple_row(w, ab)
+                residue = LaurentPoly.monomial(rank, ab.image(w)) - 1
+                if residue:
+                    with pytest.raises(InvariantError) as caught:
+                        alexander._check_identity(0, packed, steps, unpack)
+                    assert caught.value.witness == f"relator 0: residue {residue!r}"
+                else:
+                    alexander._check_identity(0, packed, steps, unpack)
+            # a^n ends at the corner n v_a of its box, reached by the residue
+            # alone; a^-n has a term at the opposite corner.
+            corner = tuple(n * moves[0] for moves in matrix)
+            assert all(abs(x) == n * big for x in corner)
+            assert ab.image(words[0]) == corner
+            assert tuple(-x for x in corner) in self.tuple_row(words[1], ab)[0].terms
 
     def test_unknown_generator(self, free_ab2):
         with pytest.raises(ValueError, match="not in the alphabet"):
@@ -159,6 +213,26 @@ class TestAlexanderMatrix:
                 presentation=mat.presentation,
                 abelianization=mat.abelianization,
             )
+
+
+    def test_doctored_packed_row_fails_the_identity(self, monkeypatch):
+        # The builder's own check: one coefficient of the packed row of dr/da
+        # has its sign flipped, so dr/da = -1 - b and the residue is 2 - 2a.
+        pres = presentation("a b", ["a b a^-1 b^-1"])
+        walk = alexander._fox_row
+
+        def doctored(w, ab):
+            row, steps, unpack = walk(w, ab)
+            key = next(k for k, c in row[0].items() if c)
+            row[0][key] = -row[0][key]
+            return row, steps, unpack
+
+        monkeypatch.setattr(alexander, "_fox_row", doctored)
+        message = "fundamental identity fails on relator 0: residue"
+        with pytest.raises(InvariantError, match=message) as caught:
+            alexander_matrix(pres)
+        assert caught.value.stage == "fundamental identity"
+        assert caught.value.witness == "relator 0: residue LaurentPoly(2, '-2*x + 2')"
 
 
 class TestElementaryIdeals:

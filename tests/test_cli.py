@@ -323,11 +323,12 @@ class TestCheckCommand:
     def test_computes_alexander_data_once(self, capsys, monkeypatch):
         data_calls = count_calls(monkeypatch, alexander.alexander_data)
         matrix_calls = count_calls(monkeypatch, alexander.alexander_matrix)
-        identity_calls = []
+        identity_calls = count_calls(monkeypatch, alexander._check_identity)
+        post_init_calls = []
         post_init = alexander.AlexanderMatrix.__post_init__
 
         def recording(mat):
-            identity_calls.append(mat)
+            post_init_calls.append(mat)
             post_init(mat)
 
         monkeypatch.setattr(alexander.AlexanderMatrix, "__post_init__", recording)
@@ -336,9 +337,11 @@ class TestCheckCommand:
         assert "relator 0: sum_j (dr/dx_j)(x_j - 1) = 0" in out
         assert len(data_calls) == 1
         assert len(matrix_calls) == 1
-        # The identity is evaluated once, when the matrix is built; the
+        # The identity is evaluated once, on the packed row as the matrix is
+        # built; the trusted builder skips the caller-entry check, and the
         # reported check reads that matrix.
         assert len(identity_calls) == 1
+        assert post_init_calls == []
 
     def test_three_generator_unsupported_still_ok(self, capsys, tmp_path):
         path = tmp_path / "three.pres"

@@ -258,6 +258,48 @@ class TestBinomialDivision:
         assert divide_exact(A ** 12 - 1, A ** 3 - 1) == 1 + A ** 3 + A ** 6 + A ** 9
         assert calls == []
 
+    @pytest.mark.parametrize("v", STEPS)
+    def test_line_keys_never_collide(self, monkeypatch, v):
+        # Each term's int key packs its line e + Zv and its place on the line.
+        # A radix too small for that gives two lines one key range, or puts
+        # them within a line's length of each other.  Two dividends provoke
+        # it: lines spread over about ±10^4 that share one gap pattern, and a
+        # dense box of lines, whose line points spread further than its
+        # exponents do.  A multiple hides merged lines whose sums are zero, so
+        # pairs of lines are also given opposite nonzero sums.
+        rng = random.Random(f"lines {v}")
+        calls = count_long_divisions(monkeypatch)
+        n = len(v)
+        gaps = sorted(rng.sample(range(40), 6))
+        coeffs = [rng.choice([-3, -1, 1, 2]) for _ in gaps]
+        spread = {}
+        for _ in range(25):
+            base = [rng.randint(-10_000, 10_000) for _ in v]
+            for g, c in zip(gaps, coeffs):
+                spread[tuple(x + g * y for x, y in zip(base, v))] = c
+        side = {1: 40, 2: 12, 3: 6}[n]
+        dense = {e: rng.choice([-2, -1, 1, 3]) for e in itertools.product(range(side), repeat=n)}
+        for terms in (spread, dense):
+            q = LaurentPoly(n, terms)
+            a = tuple(rng.randint(-50, 50) for _ in v)
+            d = LaurentPoly(n, {tuple(x + y for x, y in zip(a, v)): 1, a: -1})
+            p = q * d
+            got = divide_exact(p, d)
+            assert got is not None
+            assert got.terms == long_quotient(p, d).terms == q.terms
+            assert divide_exact(p, -d) == -q
+            # One more term, on a line of its own, leaves that line a nonzero sum.
+            far = tuple(rng.randint(20_000, 30_000) for _ in v)
+            assert divide_exact(p + LaurentPoly.monomial(n, far), d) is None
+        # Two lines of the dense box with opposite nonzero sums, wherever the
+        # second lies: p + x^e - x^f is a multiple only if f is on e's line.
+        for e in (min(p.terms), max(p.terms)):
+            for f in p.terms:
+                step = [y - x for x, y in zip(e, f)]
+                if any(step[m] * v[j] != step[j] * v[m] for m in range(n) for j in range(n)):
+                    assert divide_exact(p + LaurentPoly(n, {e: 1, f: -1}), d) is None
+        assert calls == []
+
     @pytest.mark.parametrize(
         "p, d",
         [
