@@ -5,20 +5,29 @@ derived quantity (centers, dual vertices, norms) is a ``Fraction``.  No
 floating point is used, so face and cone comparisons downstream are
 exact equalities.
 
-Convex hulls are computed in dimension <= 2 by a monotone chain over
-the leftmost and rightmost point of each row (a point strictly between
-two others on a horizontal line is never a vertex) and, in higher
-dimension, by Clarkson's output-sensitive extreme-point loop
-(FOCS 1994): one linear program per point against the vertices found so
-far, solved by integer-preserving simplex pivots, each outcome checked
-against its solution or Farkas certificate.  Lower-dimensional point
-sets are legal: membership in a convex hull makes no reference to
+Convex hulls rest on one line-end rule: a point strictly between two
+others on a line is never a vertex, so only the two end points of each
+axis-parallel line can be one.  In dimension 2 a monotone chain runs
+over the leftmost and rightmost point of each row.  In any other
+dimension the rule is applied along every axis in turn (in dimension 1
+that leaves the hull itself), and in dimension >= 3 Clarkson's
+output-sensitive extreme-point loop (FOCS 1994) runs on the survivors:
+one linear program per point against the vertices found so far, solved
+by integer-preserving simplex pivots, each outcome checked against its
+solution or Farkas certificate.  Lower-dimensional point sets are
+legal: membership in a convex hull makes no reference to
 full-dimensionality.
+
+The Alexander norm is computed in integers: the class is scaled by the
+lcm of its denominators, so each support term costs one integer dot
+product and the only ``Fraction`` is the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._record import record
@@ -173,12 +182,31 @@ def _simplex(rows: list[list[int]]) -> tuple[bool, list[int], int]:
     return False, [s * (objective[n + k] + d) for k, s in enumerate(signs)], d
 
 
+def _line_ends(points: set[Point], axis: int) -> set[Point]:
+    """The two end points of every line of ``points`` parallel to coordinate ``axis``."""
+    lines: dict[Point, list[Point]] = {}
+    for p in points:
+        key = p[:axis] + p[axis + 1:]
+        ends = lines.get(key)
+        if ends is None:
+            lines[key] = [p, p]
+        elif p[axis] < ends[0][axis]:
+            ends[0] = p
+        elif p[axis] > ends[1][axis]:
+            ends[1] = p
+    return {p for ends in lines.values() for p in ends}
+
+
 def hull_vertices(points: Iterable[Point]) -> list[Point]:
     """Extreme points of a lattice point set, in canonical order.
 
     Dimension <= 2 gives the counterclockwise hull cycle starting at the
     lexicographically smallest vertex; higher dimensions give the extreme
-    points in lexicographic order.
+    points in lexicographic order.  First only the end points of
+    axis-parallel lines are kept: along rows in dimension 2, and along
+    every axis in turn in any other dimension (ahead of Clarkson's loop
+    in dimension >= 3).  A point strictly between two others on a line
+    is never a vertex, so each step keeps every vertex and the hull.
     """
     distinct = set(map(tuple, points))
     if not distinct:
@@ -188,13 +216,16 @@ def hull_vertices(points: Iterable[Point]) -> list[Point]:
         raise ValueError("points must share one ambient dimension")
     if dim == 2:
         return _hull_2d(distinct)
+    for axis in range(dim):
+        distinct = _line_ends(distinct, axis)
     pts = sorted(distinct)
-    if dim <= 1 or len(pts) == 1:
-        return [pts[0]] if len(pts) == 1 else [pts[0], pts[-1]]
+    if len(pts) <= 2:
+        return pts
     # Clarkson's output-sensitive loop: ``found`` holds vertices only, and
     # each LP either puts p in their hull or returns a direction c with
-    # c.p > c.q for every found q; the lex-greatest maximiser of c over all
-    # points is then a vertex not yet found.
+    # c.p > c.q for every found q; the lex-greatest maximiser of c over the
+    # points is then a vertex not yet found (the lex-greatest point of a
+    # face is a vertex, so pruning never removes it).
     found = [pts[-1]]
     for p in pts:
         while p not in found:
@@ -202,7 +233,7 @@ def hull_vertices(points: Iterable[Point]) -> list[Point]:
             if inside:
                 break
             c = y[1:]
-            found.append(max(pts, key=lambda s: (sum(a * b for a, b in zip(c, s)), s)))
+            found.append(max(pts, key=lambda s: (sum(map(mul, c, s)), s)))
     return sorted(found)
 
 
@@ -258,7 +289,10 @@ def _labeled_hull(labels: dict[Point, int]) -> LatticePolytope:
 def alexander_norm(p: LaurentPoly, phi: Sequence[int | Fraction]) -> Fraction:
     """sup over support pairs of phi(g_i - g_j) = max - min of phi on the support.
 
-    A seminorm: nonnegative, positively homogeneous, subadditive.
+    A seminorm: nonnegative, positively homogeneous, subadditive.  phi is
+    scaled to integers by the lcm of its denominators, so each term costs
+    one integer dot product; the width is divided back once, as a
+    ``Fraction``.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> alexander_norm(a**2 * b - a * b - a + 1, (1, 0))
@@ -268,8 +302,11 @@ def alexander_norm(p: LaurentPoly, phi: Sequence[int | Fraction]) -> Fraction:
         raise ValueError("the Alexander norm of the zero polynomial is undefined")
     if len(phi) != p.nvars:
         raise ValueError("class has wrong dimension")
-    values = [sum(Fraction(phi[i]) * e[i] for i in range(p.nvars)) for e in p.terms]
-    return max(values) - min(values)
+    q = [Fraction(x) for x in phi]
+    scale = lcm(*(x.denominator for x in q))
+    w = [x.numerator * (scale // x.denominator) for x in q]
+    values = [sum(map(mul, w, e)) for e in p.terms]
+    return Fraction(max(values) - min(values), scale)
 
 
 # --------------------------------------------------------------------------

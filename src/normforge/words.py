@@ -170,40 +170,50 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     if text.strip() == "1":
         return Word._adopt(alphabet, ())
     index = {g.name: i for i, g in enumerate(alphabet)}
-    # Free reduction on whole tokens: a stack of [generator, exponent] runs,
+    # Each distinct token is parsed once, at its first occurrence, so an
+    # error names the position where that token first appears.
+    parsed: dict[str, tuple[int, int]] = {}
+    # Free reduction on whole tokens: a stack of runs, gens[k] ** exps[k],
     # neighbours on different generators, each exponent nonzero.
-    runs: list[list[int]] = []
+    gens: list[int] = []
+    exps: list[int] = []
     length = 0
     for pos, token in enumerate(text.split()):
-        name, caret, exp_text = token.partition("^")
-        if name not in index:
-            raise ValueError(f"unknown generator {name!r} in token {pos + 1} ({token!r})")
-        if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ValueError(
-                    f"malformed exponent {exp_text!r} in token {pos + 1} ({token!r})"
-                ) from None
-            if exp == 0:
-                raise ValueError(f"zero exponent in token {pos + 1} ({token!r})")
-        else:
-            exp = 1
+        run = parsed.get(token)
+        if run is None:
+            name, caret, exp_text = token.partition("^")
+            if name not in index:
+                raise ValueError(f"unknown generator {name!r} in token {pos + 1} ({token!r})")
+            if caret:
+                try:
+                    exp = int(exp_text)
+                except ValueError:
+                    raise ValueError(
+                        f"malformed exponent {exp_text!r} in token {pos + 1} ({token!r})"
+                    ) from None
+                if exp == 0:
+                    raise ValueError(f"zero exponent in token {pos + 1} ({token!r})")
+            else:
+                exp = 1
+            run = parsed[token] = (index[name], exp)
+        gen, exp = run
         length += abs(exp)
         if length > MAX_WORD_LETTERS:
             raise ValueError(
                 f"word longer than {MAX_WORD_LETTERS} letters at token {pos + 1} ({token!r})"
             )
-        gen = index[name]
-        if runs and runs[-1][0] == gen:
-            runs[-1][1] += exp
-            if not runs[-1][1]:
-                runs.pop()
+        if gens and gens[-1] == gen:
+            exps[-1] += exp
+            if not exps[-1]:
+                gens.pop()
+                exps.pop()
         else:
-            runs.append([gen, exp])
+            gens.append(gen)
+            exps.append(exp)
+    signed = [((g, 1), (g, -1)) for g in range(len(alphabet))]
     letters: list[Letter] = []
-    for gen, exp in runs:
-        letters += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+    for gen, exp in zip(gens, exps):
+        letters += [signed[gen][exp < 0]] * abs(exp)
     return Word._adopt(alphabet, tuple(letters))
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -114,6 +114,43 @@ def higher_dim_corpus(seed=21, count=60):
     return corpus
 
 
+def dense_corpus(seed=25):
+    """Dense lattice sets in dimensions 3-5 whose vertices are known in closed form:
+    boxes (their corners) and cross-polytopes |x - c|_1 <= r (the points c +- r e_i).
+    Every non-vertex lies strictly inside an axis-parallel line, except the
+    cross-polytopes' other boundary points."""
+    rng = random.Random(seed)
+    for dim in (3, 4, 5):
+        for _ in range(3):
+            lo = [rng.randint(-3, 3) for _ in range(dim)]
+            hi = [a + rng.randint(0, 4 if dim < 5 else 2) for a in lo]
+            yield (list(product(*(range(a, b + 1) for a, b in zip(lo, hi)))),
+                   sorted(set(product(*zip(lo, hi)))))
+        for r in (1, 2, 3):
+            c = [rng.randint(-2, 2) for _ in range(dim)]
+            cross = [tuple(a + x for a, x in zip(c, p))
+                     for p in product(range(-r, r + 1), repeat=dim) if sum(map(abs, p)) <= r]
+            yield cross, sorted(tuple(a + s * r * (i == k) for i, a in enumerate(c))
+                                for k in range(dim) for s in (-1, 1))
+
+
+def symmetric_corpus(seed=26, count=24):
+    """Centrally symmetric supports in dimensions 3-5, as Alexander polynomials
+    have: a random half of a small box, with its mirror image through a
+    center; duplicates kept.  Most points lie inside an axis-parallel line."""
+    rng = random.Random(seed)
+    corpus = []
+    for k in range(count):
+        dim = 3 + k % 3
+        side = [rng.randint(1, 4 if dim == 3 else 2) for _ in range(dim)]
+        half = [p for p in product(*(range(w + 1) for w in side)) if rng.random() < 0.85]
+        half = half or [(0,) * dim]
+        pts = half + [tuple(w - x for w, x in zip(side, p)) for p in half]
+        rng.shuffle(pts)
+        corpus.append(pts)
+    return corpus
+
+
 def planar_row_corpus(seed=23, count=120, per_row=50):
     """Planar sets by rows of 1..per_row points: random rows, whole rows repeated
     (also at another height), one row, one column, and diagonal collinear sets;
@@ -211,6 +248,52 @@ class TestHull:
     def test_higher_dimensions_match_oracle(self):
         for pts in higher_dim_corpus():
             assert hull_vertices(pts) == extreme_points_oracle(sorted(set(pts)))
+
+    def test_dense_sets_in_dimensions_3_to_5(self):
+        for pts, vertices in dense_corpus():
+            assert hull_vertices(pts) == vertices
+
+    def test_small_dense_and_symmetric_sets_against_the_oracle(self):
+        sets = [list(product(range(3), range(2), (0,))),
+                list(product(range(3), (1,), range(3), (-1,))),
+                list(product((0,), range(2), range(3), (2,), (1,)))]
+        for dim in (3, 4):  # cross-polytopes with their center
+            sets.append([tuple(s * (i == k) for i in range(dim))
+                         for k in range(dim) for s in (-1, 1)] + [(0,) * dim])
+        rng = random.Random(27)
+        for dim in (3, 4, 5):
+            for _ in range(3):
+                half = [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(3)]
+                sets.append(half + [tuple(-x for x in p) for p in half] + [(0,) * dim])
+        for pts in sets:
+            assert hull_vertices(pts) == extreme_points_oracle(sorted(set(pts)))
+
+    def test_pruning_keeps_the_hull_of_symmetric_supports(self, monkeypatch):
+        corpus = symmetric_corpus()
+        pruned = [hull_vertices(pts) for pts in corpus]
+        survivors = kept = 0
+        for pts in corpus:
+            distinct = set(pts)
+            for axis in range(len(pts[0])):
+                distinct = polytope._line_ends(distinct, axis)
+            survivors += len(distinct)
+            kept += len(set(pts))
+        assert survivors < kept / 2  # the corpus exercises the pruning
+        monkeypatch.setattr(polytope, "_line_ends", lambda points, axis: points)
+        assert [hull_vertices(pts) for pts in corpus] == pruned
+
+    def test_box_takes_few_linear_programs(self, monkeypatch):
+        # Without pruning Clarkson's loop tests each of the 125 points; the
+        # axis-line ends of a box are its 8 corners.
+        calls = []
+
+        def spy(rows):
+            calls.append(rows)
+            return _lp_feasible(rows)
+
+        monkeypatch.setattr(polytope, "_lp_feasible", spy)
+        assert hull_vertices(product(range(5), repeat=3)) == sorted(product((0, 4), repeat=3))
+        assert len(calls) <= 2 * 8
 
     def test_planar_rows_against_the_full_chain(self):
         for pts in planar_row_corpus():
@@ -315,6 +398,23 @@ class TestAlexanderNorm:
                 sum(phi[i] * (v[i] - z0[i]) for i in range(2)) for v in poly.hull
             )
             assert direct == via_center
+
+    def test_integer_scaling_matches_the_fraction_sum(self):
+        rng = random.Random(8)
+        for k in range(180):
+            nvars = 1 + k % 3
+            p = LaurentPoly(nvars, {tuple(rng.randint(-7, 7) for _ in range(nvars)):
+                                    rng.choice((-3, -1, 1, 2)) for _ in range(rng.randint(1, 9))})
+            if k % 4 == 0:  # int classes only
+                phi = tuple(rng.randint(-5, 5) for _ in range(nvars))
+            else:  # mixed denominators and signs, ints among them
+                phi = tuple(rng.choice((rng.randint(-5, 5),
+                                        Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+                            for _ in range(nvars))
+            values = [sum(Fraction(phi[i]) * e[i] for i in range(nvars)) for e in p.terms]
+            norm = alexander_norm(p, phi)
+            assert type(norm) is Fraction
+            assert norm == max(values) - min(values)
 
     def test_errors(self, delta_golden):
         with pytest.raises(ValueError):

@@ -94,6 +94,20 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"token 2 \('a\^-600000'\)"):
             parse_word("a^600000 a^-600000", AB)
 
+    def test_errors_name_the_first_occurrence_of_a_repeated_token(self):
+        # Each distinct token is parsed once per call; its error still names
+        # where it first appears, and every occurrence counts toward the length.
+        for text, message in (
+            ("a b a c b c", r"unknown generator 'c' in token 4 \('c'\)"),
+            ("a^2 b a^2 a^x b a^x", r"malformed exponent 'x' in token 4 \('a\^x'\)"),
+            ("b a b a^0 a^0", r"zero exponent in token 4 \('a\^0'\)"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_word(text, AB)
+        half = MAX_WORD_LETTERS // 2 + 1
+        with pytest.raises(ValueError, match=rf"token 3 \('a\^{half}'\)"):
+            parse_word(f"a^{half} b^-1 a^{half}", AB)
+
     def test_tokens_reduce_like_expanded_letters(self):
         # Differential: whole-token reduction against Word's letter-by-letter one.
         rng = random.Random(16)
