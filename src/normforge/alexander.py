@@ -24,8 +24,10 @@ b_1 >= 2, E_1 = m * (Delta) with m the augmentation ideal (McMullen,
 Ann. Sci. ENS 2002, Thm 5.1), so Delta is one exact quotient
 D_j / (x^{v_j} - 1) of a maximal minor by a generator's binomial.  The
 checked identity certifies it through Cramer's rule, which also gives
-the unit witness of every other minor (see
-:func:`deficiency_one_quotient`); any other shape takes the gcd of E_1.
+the unit witness of every other minor, so only D_j is computed: one
+(s-1) x (s-1) determinant instead of s (see
+:func:`deficiency_one_quotient`).  Any other shape takes the gcd of all
+E_1 generators.
 """
 
 from __future__ import annotations
@@ -202,8 +204,18 @@ class ElementaryIdealGens:
     generators: tuple[LaurentPoly, ...]
 
 
-def elementary_ideal(mat: AlexanderMatrix, i: int) -> ElementaryIdealGens:
-    """All (s-i) x (s-i) minors, with Fitting conventions for degenerate sizes."""
+def elementary_ideal(
+    mat: AlexanderMatrix, i: int, columns: Sequence[int] | None = None
+) -> ElementaryIdealGens:
+    """The (s-i) x (s-i) minors, with Fitting conventions for degenerate sizes.
+
+    Minors run over row subsets, then column subsets, both in
+    lexicographic order.  ``columns`` (increasing indices; all s by
+    default) restricts the columns a minor may use: at deficiency one,
+    all columns but j give the single maximal minor D_j that
+    :func:`deficiency_one_quotient` needs.  The size s-i stays that of
+    E_i either way.
+    """
     if i < 0:
         raise ValueError("elementary ideal index must be nonnegative")
     s = mat.ncols
@@ -215,7 +227,7 @@ def elementary_ideal(mat: AlexanderMatrix, i: int) -> ElementaryIdealGens:
         return ElementaryIdealGens(i, k, ())
     gens: list[LaurentPoly] = []
     for rows in combinations(range(mat.nrows), k):
-        for cols in combinations(range(s), k):
+        for cols in combinations(range(s) if columns is None else columns, k):
             sub = [[mat.entries[r][c] for c in cols] for r in rows]
             gens.append(poly_matrix_det(sub))
     return ElementaryIdealGens(i, k, tuple(gens))
@@ -241,38 +253,46 @@ class AlexanderData:
 
 
 def deficiency_one_quotient(
-    mat: AlexanderMatrix, minors: Sequence[LaurentPoly]
-) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]] | None:
+    mat: AlexanderMatrix,
+) -> tuple[LaurentPoly, tuple[LaurentPoly, ...] | None] | None:
     """Delta of a deficiency-one matrix and the units u_k with D_k = u_k f_k Delta.
 
-    ``minors`` are the maximal minors in :func:`elementary_ideal`'s order,
-    so ``minors[i]`` is D_j, the minor without column j = s-1-i.  With
-    f_k = x^{v_k} - 1 for the image v_k of generator k, Fox's identity
-    M f = 0 (checked when ``mat`` was built) and Cramer's rule
-    M ((-1)^k D_k)_k = 0 put f and the signed minors on one line, so
-    D_k = (-1)^(j+k) Q f_k with Q = D_j / f_j, for the j with v_j != 0 and
-    D_j != 0 of fewest terms.  When two images are non-parallel their
+    D_k is the maximal minor without column k, and f_k = x^{v_k} - 1 for
+    the image v_k of generator k.  Fox's identity M f = 0 (checked when
+    ``mat`` was built) and Cramer's rule M ((-1)^k D_k)_k = 0 put f and
+    the signed minors on one line, so D_k = (-1)^(j+k) Q f_k with
+    Q = D_j / f_j for any j with v_j != 0.  So one minor is computed:
+    among the columns with a nonzero image, j is the one with the most
+    terms (the first on a tie), which leaves the sparsest
+    (s-1) x (s-1) determinant.  When two images are non-parallel their
     binomials are coprime, so Q is exact (a nonzero line sum in the
     division raises :class:`InvariantError`) and E_1 = m * (Q).  With
     (Delta, u) = split_unit(Q), so Q = u Delta, the units are
-    u_k = (-1)^(j+k) u.  Returns None for parallel images and every shape
-    other than s generators, s-1 relators, b_1 >= 2.
+    u_k = (-1)^(j+k) u; another j changes Q by (-1)^(j+j') only, so
+    neither Delta nor the units depend on j.
+
+    The signed minors are c f for one c in the fraction field, so D_j = 0
+    with f_j != 0 means c = 0: every maximal minor vanishes, and the
+    result is (0, None), degenerate.  Returns None for parallel images
+    and every shape other than s generators, s-1 relators, b_1 >= 2.
     """
     s = mat.ncols
     ab = mat.abelianization
-    if mat.nrows != s - 1 or len(minors) != s or ab.rank < 2:
+    if mat.nrows != s - 1 or ab.rank < 2:
         return None
-    by_column = minors[::-1]
     images = [ab.generator_image(j) for j in range(s)]
-    candidates = [j for j in range(s) if any(images[j]) and not by_column[j].is_zero()]
+    candidates = [j for j in range(s) if any(images[j])]
     if not candidates:
         return None
-    j = min(candidates, key=lambda c: len(by_column[c].terms))
+    j = max(candidates, key=lambda c: sum(len(row[c].terms) for row in mat.entries))
     base = images[j]
     if not any(base[a] * v[b] != base[b] * v[a]
                for v in images for a, b in combinations(range(ab.rank), 2)):
         return None
-    q = divide_exact(by_column[j], LaurentPoly.monomial(ab.rank, base) - 1)
+    (minor,) = elementary_ideal(mat, 1, [c for c in range(s) if c != j]).generators
+    if minor.is_zero():
+        return minor, None
+    q = divide_exact(minor, LaurentPoly.monomial(ab.rank, base) - 1)
     if q is None:
         raise InvariantError(
             "deficiency-one quotient",
@@ -288,19 +308,19 @@ def alexander_data(p: Presentation) -> AlexanderData:
 
     Delta is the deficiency-one quotient D_j / (x^{v_j} - 1) of
     :func:`deficiency_one_quotient`, certified by Fox's identity, when
-    ``p`` has one relator fewer than generators and b_1 >= 2; otherwise
-    it is the gcd of the nonzero E_1 generators.
+    ``p`` has one relator fewer than generators, b_1 >= 2 and two
+    non-parallel generator images; otherwise it is the gcd of the
+    nonzero E_1 generators.  Either way Delta is zero, and the data
+    degenerate, exactly when every E_1 generator vanishes.
     """
     mat = alexander_matrix(p)
-    e1 = elementary_ideal(mat, 1)
-    nonzero = [g for g in e1.generators if not g.is_zero()]
-    rank_zero = mat.abelianization.rank == 0
-    if not nonzero:
-        return AlexanderData(
-            LaurentPoly.zero(mat.abelianization.rank), mat, None, True, rank_zero
-        )
-    delta, units = deficiency_one_quotient(mat, e1.generators) or (gcd_many(nonzero), None)
-    return AlexanderData(delta, mat, units, False, rank_zero)
+    rank = mat.abelianization.rank
+    found = deficiency_one_quotient(mat)
+    if found is None:
+        nonzero = [g for g in elementary_ideal(mat, 1).generators if not g.is_zero()]
+        found = (gcd_many(nonzero) if nonzero else LaurentPoly.zero(rank), None)
+    delta, units = found
+    return AlexanderData(delta, mat, units, delta.is_zero(), rank == 0)
 
 
 def alexander_polynomial(p: Presentation) -> LaurentPoly:

@@ -17,13 +17,14 @@ from normforge.alexander import (
     fox_derivative,
 )
 from normforge.bns import compare_sigma, cone_arc, cone_contains, sigma_alexander
-from normforge.braid import gamma, mapping_torus_presentation
+from normforge.braid import BraidWord, gamma, mapping_torus_presentation
 from normforge.brown import brown_sigma
 from normforge.laurent import (
     LaurentPoly,
     divide_exact,
     equal_up_to_unit,
     gcd_many,
+    split_unit,
 )
 from normforge.words import (
     AbelianizationMap,
@@ -261,6 +262,15 @@ class TestElementaryIdeals:
         with pytest.raises(ValueError):
             elementary_ideal(alexander_matrix(section6.presentation), -1)
 
+    def test_columns_restrict_the_minors(self):
+        # The commutator's minors without column a, without column b, and
+        # none when the columns are fewer than the minor size.
+        mat = alexander_matrix(presentation("a b", ["a b a^-1 b^-1"]))
+        assert elementary_ideal(mat, 1, [1]).generators == (A - 1,)
+        assert elementary_ideal(mat, 1, [0]).generators == (1 - B,)
+        assert elementary_ideal(mat, 0, [0, 1]).generators == ()
+        assert elementary_ideal(mat, 2, []).generators == (LaurentPoly.one(2),)
+
 
 class TestAlexanderPolynomial:
     def test_section6_golden(self, section6, delta_golden):
@@ -353,6 +363,24 @@ def certified_cases():
 CERTIFIED = certified_cases()
 
 
+def seeded_tori():
+    """Mapping tori of seeded braids on n = 3..9 strands with 1 and 2 cycles (b_1 = 2 and 3)."""
+    rng = random.Random(23)
+    tori = {}
+    for n in range(3, 10):
+        for cycles in (1, 2):
+            while (name := f"torus_n{n}_c{cycles}") not in tori:
+                length = n + rng.randint(1, 2)
+                letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
+                pres = mapping_torus_presentation(BraidWord(n, letters))
+                if free_abelianization(pres).rank == cycles + 1:
+                    tori[name] = pres
+    return tori
+
+
+TORI = seeded_tori()
+
+
 def first_minors(pres):
     mat = alexander_matrix(pres)
     return mat, elementary_ideal(mat, 1).generators
@@ -369,23 +397,45 @@ def record_gcd_calls(monkeypatch):
     return calls
 
 
-class TestDeficiencyOneQuotient:
-    """The certified quotient against the gcd route it replaces."""
+def count_det_calls(monkeypatch):
+    calls = []
 
-    @pytest.mark.parametrize("name", list(CERTIFIED))
+    def counting(rows):
+        calls.append(len(rows))
+        return laurent.poly_matrix_det(rows)
+
+    monkeypatch.setattr(alexander, "poly_matrix_det", counting)
+    return calls
+
+
+class TestDeficiencyOneQuotient:
+    """The certified one-minor quotient against the gcd route it replaces."""
+
+    @pytest.mark.parametrize("name", list(CERTIFIED) + list(TORI))
     def test_matches_gcd_route(self, name):
-        mat, minors = first_minors(CERTIFIED[name])
-        quotient, units = deficiency_one_quotient(mat, minors)
+        pres = CERTIFIED.get(name) or TORI[name]
+        mat, minors = first_minors(pres)
+        quotient, units = deficiency_one_quotient(mat)
         reference = gcd_many([g for g in minors if not g.is_zero()])
         assert quotient.terms == reference.terms
         # Every minor is its unit witness times its binomial times Delta.
         ab = mat.abelianization
-        for k, minor in enumerate(reversed(minors)):
-            binomial = LaurentPoly.monomial(ab.rank, ab.generator_image(k)) - 1
+        binomials = [LaurentPoly.monomial(ab.rank, ab.generator_image(k)) - 1 for k in range(mat.ncols)]
+        by_column = minors[::-1]
+        for k, minor in enumerate(by_column):
             assert units[k].is_unit()
-            assert minor == units[k] * binomial * quotient
-        assert alexander_data(CERTIFIED[name]).polynomial.terms == reference.terms
-        pres = CERTIFIED[name]
+            assert minor == units[k] * binomials[k] * quotient
+        # Whichever column j with a nonzero image is dropped, D_j / f_j is
+        # Delta term for term, with the same units (-1)^(j+k) u.
+        admissible = [j for j in range(mat.ncols) if not binomials[j].is_zero()]
+        assert len(admissible) >= 2
+        for j in admissible:
+            (minor,) = elementary_ideal(mat, 1, [c for c in range(mat.ncols) if c != j]).generators
+            assert minor == by_column[j]
+            q, unit = split_unit(divide_exact(minor, binomials[j]))
+            assert q.terms == reference.terms
+            assert tuple(unit * (-1) ** (j + k) for k in range(mat.ncols)) == units
+        assert alexander_data(pres).polynomial.terms == reference.terms
         if len(pres.alphabet) == 2 and len(pres.relators) == 1:
             # Brown's cones against the Alexander cones: every verdict is
             # certified and its witness checks by cone membership alone.
@@ -405,6 +455,15 @@ class TestDeficiencyOneQuotient:
                     assert cone_contains(host, report.witness)
                     assert not cone_contains(cone, report.witness)
 
+    def test_one_determinant_per_deficiency_one_polynomial(self, monkeypatch):
+        calls = count_det_calls(monkeypatch)
+        cases = [p for p in [*CERTIFIED.values(), *TORI.values()] if len(p.alphabet) >= 3]
+        assert len(cases) >= len(TORI)
+        for pres in cases:
+            calls.clear()
+            alexander_data(pres)
+            assert calls == [len(pres.alphabet) - 1]
+
     @pytest.mark.parametrize("pres", [
         pytest.param(presentation("a b", ["a b a b^-1 a^-1 b^-1"]), id="trefoil_b1_one"),
         pytest.param(presentation("a b", ["a b a^-1 b^-1", "a^2 b a^-2 b^-1"]), id="two_relators"),
@@ -413,9 +472,10 @@ class TestDeficiencyOneQuotient:
     ])
     def test_other_shapes_take_the_gcd_route(self, pres, monkeypatch):
         mat, minors = first_minors(pres)
-        assert deficiency_one_quotient(mat, minors) is None
-        # Also when handed just one minor per column, as if deficiency one.
-        assert deficiency_one_quotient(mat, minors[:mat.ncols]) is None
+        # The shape is read off the matrix alone: no minor is computed.
+        dets = count_det_calls(monkeypatch)
+        assert deficiency_one_quotient(mat) is None
+        assert dets == []
         nonzero = [g for g in minors if not g.is_zero()]
         calls = record_gcd_calls(monkeypatch)
         data = alexander_data(pres)
@@ -431,7 +491,7 @@ class TestDeficiencyOneQuotient:
             alexander_data(pres)
         assert calls == []
 
-    def test_parallel_images_have_no_certificate(self):
+    def test_parallel_images_have_no_certificate(self, monkeypatch):
         # A hand-made map sending a and b to the same class: D_1 = 1 - x and
         # D_0 = x - 1 divide exactly and agree up to a unit, but their gcd
         # is x - 1, not the quotient 1, because the binomials are parallel.
@@ -441,11 +501,29 @@ class TestDeficiencyOneQuotient:
         mat = AlexanderMatrix(pres, ab, ((fox_derivative(rel, "a", ab), fox_derivative(rel, "b", ab)),))
         minors = elementary_ideal(mat, 1).generators
         assert gcd_many(minors) == LaurentPoly.variable(2, 0) - 1
-        assert deficiency_one_quotient(mat, minors) is None
+        # Parallel images are seen before any minor: the gcd route computes them.
+        dets = count_det_calls(monkeypatch)
+        assert deficiency_one_quotient(mat) is None
+        assert dets == []
+
+    def test_vanishing_minors_are_degenerate_after_one_determinant(self, monkeypatch):
+        # One relator given twice: D_j = 0 for a column with a nonzero
+        # image, so by Cramer every maximal minor vanishes.
+        pres = golden_presentation("vanish3.pres")
+        mat, minors = first_minors(pres)
+        assert mat.abelianization.rank == 3 and all(g.is_zero() for g in minors)
+        calls = count_det_calls(monkeypatch)
+        delta, units = deficiency_one_quotient(mat)
+        assert delta.is_zero() and units is None and calls == [2]
+        gcd_calls = record_gcd_calls(monkeypatch)
+        data = alexander_data(pres)
+        assert data.degenerate and data.polynomial.is_zero() and data.e1_units is None
+        assert gcd_calls == []
 
     def test_failed_division_contradicts_the_identity(self, monkeypatch):
         # Fox's identity makes the division exact, so a failure is an
         # arithmetic fault, not a reason to fall back to the gcd route.
+        # The check is an explicit raise, so it also runs under python -O.
         monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
         with pytest.raises(InvariantError, match="deficiency-one quotient") as caught:
             alexander_data(CERTIFIED["relator_0"])

@@ -53,6 +53,8 @@ INPUTS = (
     ("swell3.pres", (("alexander",), ("check",))),
     # link3.pres plus the relator r1*r3: deficiency zero, so Delta is a 3-variable gcd
     ("link3_r1r3.pres", (("alexander",),)),
+    # deficiency one, b_1 = 3, one relator given twice: every maximal minor vanishes
+    ("vanish3.pres", (("alexander",), ("check",))),
 )
 
 

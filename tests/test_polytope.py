@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from normforge import polytope
+from normforge.alexander import alexander_polynomial
 from normforge.laurent import LaurentPoly
 from normforge.polytope import (
     _lp_feasible,
@@ -16,6 +19,9 @@ from normforge.polytope import (
     newton_polytope,
     point_in_hull,
 )
+from normforge.words import parse_presentation_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 A = LaurentPoly.variable(2, 0)
 B = LaurentPoly.variable(2, 1)
@@ -75,6 +81,51 @@ def extreme_points_oracle(points):
         if not others or not in_hull_oracle(p, others):
             out.append(p)
     return sorted(out)
+
+
+def hull_certificate_3d(points, vertices):
+    """Whether ``vertices`` are exactly the vertices of a full-dimensional hull in Z^3.
+
+    Polynomial, where :func:`extreme_points_oracle` is exponential.  The
+    facet planes are those through three returned points with every
+    returned point on one side.  If every input point satisfies every
+    facet, the input lies in the hull of the returned points, so no vertex
+    is missing; a returned point whose tight facet normals have rank 3 is
+    the one point of three independent supporting planes, so a vertex.
+    Facets are taken from the returned points, not from the input: with a
+    vertex dropped, planes supporting the whole input would still pass.
+    """
+    def sub(p, q):
+        return tuple(a - b for a, b in zip(p, q))
+
+    def cross(u, w):
+        return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+    def dot(u, w):
+        return sum(a * b for a, b in zip(u, w))
+
+    vertices = sorted(set(vertices))
+    if not set(vertices) <= set(points):
+        return False
+    facets = set()
+    for p, q, r in combinations(vertices, 3):
+        normal = cross(sub(q, p), sub(r, p))
+        if normal == (0, 0, 0):
+            continue
+        offset = dot(normal, p)
+        sides = {(h > offset) - (h < offset) for h in (dot(normal, v) for v in vertices)}
+        if sides <= {0, -1} or sides <= {0, 1}:
+            sign = -1 if 1 in sides else 1
+            g = gcd(*normal)
+            normal = tuple(sign * a // g for a in normal)
+            facets.add((normal, dot(normal, p)))
+    if not all(dot(n, x) <= c for n, c in facets for x in points):
+        return False
+    for v in vertices:
+        tight = [n for n, c in facets if dot(n, v) == c]
+        if not any(dot(cross(a, b), e) for a, b, e in combinations(tight, 3)):
+            return False
+    return True
 
 
 def random_point_corpus(seed=20, count=140):
@@ -294,6 +345,25 @@ class TestHull:
         monkeypatch.setattr(polytope, "_lp_feasible", spy)
         assert hull_vertices(product(range(5), repeat=3)) == sorted(product((0, 4), repeat=3))
         assert len(calls) <= 2 * 8
+
+    @pytest.mark.parametrize("name", ["link7", "box5"])
+    def test_rank3_hulls_carry_a_facet_certificate(self, name):
+        # The exponential oracle reaches about a dozen points in dimension 3;
+        # the facet certificate checks the 58-point Newton polytope of
+        # link7.pres (16 vertices) and the 5 x 5 x 5 box (its 8 corners).
+        if name == "link7":
+            text = (GOLDEN / "link7.pres").read_text(encoding="utf-8")
+            points = list(alexander_polynomial(parse_presentation_text(text).presentation).terms)
+            assert (len(points), len(hull_vertices(points))) == (58, 16)
+        else:
+            points = list(product(range(5), repeat=3))
+        hull = hull_vertices(points)
+        assert hull_certificate_3d(points, hull)
+        # The certificate refuses a hull with a vertex dropped or a non-vertex added.
+        for k in range(len(hull)):
+            assert not hull_certificate_3d(points, hull[:k] + hull[k + 1:])
+        for extra in sorted(set(points) - set(hull)):
+            assert not hull_certificate_3d(points, hull + [extra])
 
     def test_planar_rows_against_the_full_chain(self):
         for pts in planar_row_corpus():
