@@ -8,9 +8,10 @@ the free abelianized quotient.  Fox's fundamental identity
     sum_j (dr/dx_j) (x_j - 1) = r - 1 = 0   in Z[ab(G)]
 
 holds on every row.  :func:`alexander_matrix` walks each relator once with
-the prefix packed into one int key, checks the full identity on that
-packed row, and only then decodes its entries; a matrix built from caller
-entries checks the identity itself (see :class:`AlexanderMatrix`).
+the prefix packed into one int key and checks the full identity on that
+packed row.  The matrix keeps the packed rows and decodes its entries
+only when they are first read; a matrix built from caller entries checks
+the identity itself (see :class:`AlexanderMatrix`).
 
 The i-th elementary ideal is generated by the (s-i) x (s-i) minors of
 this matrix (s = number of generators), with the usual Fitting-ideal
@@ -26,28 +27,32 @@ D_j / (x^{v_j} - 1) of a maximal minor by a generator's binomial.  The
 checked identity certifies it through Cramer's rule, which also gives
 the unit witness of every other minor, so only D_j is computed: one
 (s-1) x (s-1) determinant instead of s (see
-:func:`deficiency_one_quotient`).  Any other shape takes the gcd of all
-E_1 generators.
+:func:`deficiency_one_quotient`).  For one relator on two generators D_j
+is the other entry of the packed row, divided on the walk's own keys:
+no entry is decoded and no determinant is taken, and Delta's terms are
+built once, by :func:`.laurent.binomial_quotient`.  Any other shape takes
+the gcd of all E_1 generators.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import prod
-from operator import mul
+from operator import countOf, mul
 from typing import Callable, Sequence
 
 from ._record import record
 from .errors import InvariantError
 from .laurent import (
+    Layout,
     LaurentPoly,
-    divide_exact,
+    binomial_quotient,
     equal_up_to_unit,
     gcd_many,
     invert_variables,
     poly_matrix_det,
     poly_to_text,
-    split_unit,
 )
 from .words import (
     AbelianizationMap,
@@ -58,8 +63,8 @@ from .words import (
 )
 
 
-def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list[int], Callable]:
-    """The Fox row of w on packed int keys, in one pass: (row, steps, unpack).
+def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list[int], Layout]:
+    """The Fox row of w on packed int keys, in one pass: (row, steps, layout).
 
     A prefix's exponent vector is one int (Kronecker substitution).  Its
     coordinate i is within b_i = len(w) * max_j |x_j's move along i| of 0,
@@ -67,7 +72,8 @@ def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list
     carry.  The letter x_j^±1 after the prefix u adds +u_bar (or
     -u_bar x_j_bar^-1) to dw/dx_j alone: one int add and one dict update.
     ``row[j]`` holds dw/dx_j by key, zeros kept; ``steps[j]`` is x_j's
-    packed image; ``unpack`` decodes such a dict, zeros dropped.
+    packed image; ``layout`` is (strides, radices, bounds), which
+    :func:`_unpack` and :func:`.laurent.binomial_quotient` decode.
     """
     images = list(zip(*ab.matrix)) or [()] * len(w.alphabet)
     bounds = [len(w) * max(map(abs, moves)) for moves in ab.matrix]
@@ -84,17 +90,18 @@ def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list
         else:
             key -= steps[idx]
             terms[key] = terms.get(key, 0) - 1
+    return row, steps, (strides, radices, bounds)
 
-    def unpack(terms: dict[int, int]) -> LaurentPoly:
-        if not terms:  # most entries of a long presentation's rows
-            return LaurentPoly._adopt(ab.rank, {})
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        digits = [[k // s % r - b for k in terms] for s, r, b in zip(strides, radices, bounds)]
-        vectors = zip(*digits) if digits else [()] * len(terms)
-        return LaurentPoly._adopt(ab.rank, dict(zip(vectors, terms.values())))
 
-    return row, steps, unpack
+def _unpack(rank: int, layout: Layout, terms: dict[int, int]) -> LaurentPoly:
+    # A packed Fox entry as a LaurentPoly, zeros dropped.
+    if not terms:  # most entries of a long presentation's rows
+        return LaurentPoly._adopt(rank, {})
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    digits = [[k // s % r - b for k in terms] for s, r, b in zip(*layout)]
+    vectors = zip(*digits) if digits else [()] * len(terms)
+    return LaurentPoly._adopt(rank, dict(zip(vectors, terms.values())))
 
 
 def _check_identity(i: int, row: list[dict[int, int]], steps: list[int], unpack: Callable) -> None:
@@ -140,8 +147,8 @@ def fox_derivative(w: Word, x: Generator | str, ab: AbelianizationMap) -> Lauren
         target = next(i for i, g in enumerate(w.alphabet) if g.name == name)
     except StopIteration:
         raise ValueError(f"generator {name!r} is not in the alphabet") from None
-    row, _, unpack = _fox_row(w, ab)
-    return unpack(row[target])
+    row, _, layout = _fox_row(w, ab)
+    return _unpack(ab.rank, layout, row[target])
 
 
 @record
@@ -153,6 +160,10 @@ class AlexanderMatrix:
     builds the matrix through ``_adopt`` without checking again; a matrix
     built from caller entries checks it in ``__post_init__``.  Both raise
     :class:`InvariantError` naming the relator and its residue.
+
+    An adopted matrix keeps its packed rows and decodes ``entries`` on
+    first access, once; equality, hash and repr read ``entries`` as for a
+    caller-built matrix.
     """
 
     presentation: Presentation
@@ -161,18 +172,27 @@ class AlexanderMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.presentation.relators)
 
     @property
     def ncols(self) -> int:
         return len(self.presentation.alphabet)
 
     @classmethod
-    def _adopt(cls, presentation, abelianization, entries) -> "AlexanderMatrix":
-        # Takes rows whose identity the caller has checked, without __post_init__.
+    def _adopt(cls, presentation, abelianization, packed) -> "AlexanderMatrix":
+        # Takes (row, layout) per relator, its identity checked by the caller,
+        # without __post_init__.
         mat = object.__new__(cls)
-        mat.__dict__.update(presentation=presentation, abelianization=abelianization, entries=entries)
+        mat.__dict__.update(presentation=presentation, abelianization=abelianization, _packed=packed)
         return mat
+
+    def __getattr__(self, name: str):
+        # Only an adopted matrix's ``entries`` is missing, until its first read.
+        if name != "entries" or "_packed" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rank = self.abelianization.rank
+        self.__dict__[name] = tuple(tuple(map(partial(_unpack, rank, lay), row)) for row, lay in self._packed)
+        return self.entries
 
     def __post_init__(self) -> None:
         # Caller entries: the residue sum_j (dr/dx_j)(x_j - 1) of each row, in full.
@@ -187,12 +207,12 @@ class AlexanderMatrix:
 def alexander_matrix(p: Presentation) -> AlexanderMatrix:
     """Matrix of abelianized Fox derivatives of the relators, Fox's identity checked."""
     ab = free_abelianization(p)
-    entries = []
+    packed = []
     for i, r in enumerate(p.relators):
-        row, steps, unpack = _fox_row(r, ab)
-        _check_identity(i, row, steps, unpack)
-        entries.append(tuple(map(unpack, row)))
-    return AlexanderMatrix._adopt(p, ab, tuple(entries))
+        row, steps, layout = _fox_row(r, ab)
+        _check_identity(i, row, steps, partial(_unpack, ab.rank, layout))
+        packed.append((row, layout))
+    return AlexanderMatrix._adopt(p, ab, tuple(packed))
 
 
 @record
@@ -275,6 +295,14 @@ def deficiency_one_quotient(
     with f_j != 0 means c = 0: every maximal minor vanishes, and the
     result is (0, None), degenerate.  Returns None for parallel images
     and every shape other than s generators, s-1 relators, b_1 >= 2.
+
+    On a matrix from :func:`alexander_matrix` with s = 2, the terms are
+    counted and D_j is read on the packed row, and
+    :func:`.laurent.binomial_quotient` divides it on the walk's keys,
+    which pack each axis line without a carry.  Otherwise D_j comes from
+    :func:`elementary_ideal` and is packed for the division.  Either way
+    (Delta, u) is the scan's one decode, so Delta and the units are term
+    for term the same on both routes.
     """
     s = mat.ncols
     ab = mat.abelianization
@@ -284,23 +312,26 @@ def deficiency_one_quotient(
     candidates = [j for j in range(s) if any(images[j])]
     if not candidates:
         return None
-    j = max(candidates, key=lambda c: sum(len(row[c].terms) for row in mat.entries))
+    # At s = 2 the walk's keys pack the exponents themselves (b_1 = 2 makes
+    # the abelianization the identity), so its one row is read as it stands.
+    packed = mat.__dict__.get("_packed") if ab.matrix == ((1, 0), (0, 1)) else None
+    rows = [row for row, _ in packed] if packed else [[e.terms for e in row] for row in mat.entries]
+    j = max(candidates, key=lambda c: sum(len(row[c]) - countOf(row[c].values(), 0) for row in rows))
     base = images[j]
     if not any(base[a] * v[b] != base[b] * v[a]
                for v in images for a, b in combinations(range(ab.rank), 2)):
         return None
-    (minor,) = elementary_ideal(mat, 1, [c for c in range(s) if c != j]).generators
-    if minor.is_zero():
-        return minor, None
-    q = divide_exact(minor, LaurentPoly.monomial(ab.rank, base) - 1)
-    if q is None:
+    minor = rows[0][1 - j] if packed else elementary_ideal(
+        mat, 1, [c for c in range(s) if c != j]).generators[0]
+    found = binomial_quotient(minor, base, packed[0][1] if packed else None)
+    if found is None:
         raise InvariantError(
             "deficiency-one quotient",
             f"x^{base} - 1 does not divide the minor without column {j}, "
             "contradicting Fox's identity",
         )
-    delta, unit = split_unit(q)
-    return delta, tuple(unit * (-1) ** (j + k) for k in range(s))
+    delta, unit = found
+    return delta, None if delta.is_zero() else tuple(unit * (-1) ** (j + k) for k in range(s))
 
 
 def alexander_data(p: Presentation) -> AlexanderData:
@@ -388,7 +419,7 @@ def check_fundamental_identity(data: AlexanderData) -> CheckReport:
     """Report the Fox fundamental identity row by row.
 
     The matrix handed in has already passed it: :func:`alexander_matrix`
-    checks the full residue on each packed Fox row before decoding it, and
+    checks the full residue on each packed Fox row as it builds the matrix, and
     a matrix built from caller entries checks it in ``__post_init__``; a
     nonzero residue raises :class:`InvariantError` in either case.
     """

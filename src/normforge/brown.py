@@ -102,8 +102,9 @@ def brown_sigma(p: Presentation) -> SigmaDescription:
     relator = p.relators[0].cyclically_reduced()
     if relator.is_identity():
         raise UnsupportedPresentation("the relator is trivial after cyclic reduction")
-    if relator.exponent_vector() != (0, 0):
+    path = trace_relator(relator)  # its end point is the exponent vector
+    if not path.is_closed():
         raise UnsupportedPresentation("unsupported: relator not in commutator subgroup")
-    marked = simple_vertices(trace_relator(relator))
+    marked = simple_vertices(path)
     hull = [v for v, _ in marked]
     return SigmaDescription(2, vertex_cones(hull, [v for v, mult in marked if mult == 1]), ())

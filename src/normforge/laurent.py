@@ -36,13 +36,18 @@ and then making the leading (lex-largest) coefficient positive;
 :func:`split_unit` also returns the unit it removed.
 
 Exact division by a unit binomial ±x^a (x^v - 1), the divisor of the
-deficiency-one Alexander polynomial, is one sort and one scan: each
-dividend term gets an int key that orders the terms by lattice line
-e + Zv and then by position along the line.  The quotient is minus the
-running sum of the dividend along each line, written into every gap up
-to the next key, and exists iff every line sums to zero.  Every other
-divisor takes plain leading-term long division, one ``_dict_mul`` per
-quotient term.
+deficiency-one Alexander polynomial, is :func:`binomial_quotient`: one
+sort and one scan on int keys.  The dividend is a LaurentPoly, packed
+there, or int keys handed in with their layout (the packed Fox row of
+:mod:`.alexander`).  Each key is turned into one that orders the terms by
+lattice line e + Zv and then by position along the line.  The quotient is
+minus the running sum of the dividend along each line, written into every
+gap up to the next key, and exists iff every line sums to zero.  Each
+quotient term is then decoded once, shifted to the origin with the
+lex-leading sign moved into the unit, so the scan returns what
+:func:`split_unit` would of the quotient; :func:`divide_exact` multiplies
+that unit back.  Every other divisor takes plain leading-term long
+division, one ``_dict_mul`` per quotient term.
 
 The gcd is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989) on polynomials shifted to the origin.  Each input's
@@ -63,11 +68,12 @@ import sys
 from itertools import accumulate, repeat
 from math import gcd as _igcd
 from math import prod
-from operator import add, floordiv, mul, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Terms = dict[Exponents, int]
+Layout = tuple[Sequence[int], Sequence[int], Sequence[int]]  # strides, radices, offsets
 
 
 class LaurentPoly:
@@ -281,11 +287,15 @@ def split_unit(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if p.is_zero():
         return p, LaurentPoly.one(p.nvars)
-    terms, m = _to_origin(p)
+    return _signed(p.nvars, *_to_origin(p))
+
+
+def _signed(nvars: int, terms: Terms, m: Exponents) -> tuple[LaurentPoly, LaurentPoly]:
+    # (terms with a positive lex-leading coefficient, the unit ±x^m): split_unit's last step.
     sign = 1 if terms[max(terms)] > 0 else -1
     if sign < 0:
         terms = {e: -c for e, c in terms.items()}
-    return LaurentPoly._adopt(p.nvars, terms), LaurentPoly._adopt(p.nvars, {m: sign})
+    return LaurentPoly._adopt(nvars, terms), LaurentPoly._adopt(nvars, {m: sign})
 
 
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:
@@ -385,55 +395,77 @@ def _unit_binomial(d: Terms) -> tuple[Exponents, Exponents] | None:
     return a, tuple([x - y for x, y in zip(top, a)])
 
 
-def _divide_by_binomial(num: Terms, a: Exponents, v: Exponents) -> Terms | None:
-    # p / (x^a (x^v - 1)) for p = num, by one sort and one scan.  On each
-    # lattice line e + Zv, p = (x^v - 1) q reads p_e = q_{e-v} - q_e, so
-    # q_e = q_{e-v} - p_e is minus the running sum of p along the line, and q
-    # exists iff every line sums to zero.  e lies k = e_i // v_i steps of v
-    # (i the first index with v_i != 0) beyond its line's point e - kv, and
-    # packs to the int key (e - kv) . S + k.  The strides S are multiples of
-    # K = 2 span + 1, span the range of k, over radices wide enough that
-    # e - kv never carries.  So one step of v adds 1 to a key, a line's keys
-    # lie within span of each other, and keys of two lines lie further apart.
-    # Sorted, the keys run line by line: each gap between two keys of one line
-    # takes the running sum, and a wider gap after a nonzero sum is a line
-    # that does not sum to zero.  q is found in p's coordinates, then shifted.
+def binomial_quotient(
+    p: LaurentPoly | dict[int, int], v: Exponents, layout: Layout | None = None
+) -> tuple[LaurentPoly, LaurentPoly] | None:
+    """``split_unit(p / (x^v - 1))`` for v != 0, or None if x^v - 1 does not divide p.
+
+    ``p`` is a LaurentPoly, packed here, or int keys to coefficients (zeros
+    allowed) with the ``layout`` (strides, radices, offsets) that decodes
+    them: digit j of a key is key // strides[j] % radices[j] - offsets[j],
+    all digits in range.  The layout must hold each point between two of
+    p's points on a line e + Zv, and pack the starts e - kv of p's lines
+    without a carry (every axis v does, on keys whose digits stay in range).
+    One sort and one scan: on each line p = (x^v - 1) q reads
+    p_e = q_{e-v} - q_e, so q_e is minus the running sum of p along the
+    line, and q exists iff every line sums to zero.  e lies k = e_i // v_i
+    steps of v (i the first index with v_i != 0) beyond the start e - kv,
+    so the int key (key(e) - k step) * W + k, with step the key of v and
+    W = 2 span + 1 for span the range of k, sorts the terms line by line.
+    One step of v adds 1 to it, and two lines' keys lie more than span
+    apart.  Each gap between two keys of one line takes the running sum,
+    and a wider gap after a nonzero sum is a line that does not sum to
+    zero.  Each quotient term is decoded once, shifted to the origin with
+    the lex-leading sign taken into the unit.
+    """
+    if not any(p.terms.values() if layout is None else p.values()):
+        return LaurentPoly.zero(len(v)), LaurentPoly.one(len(v))
     i = next(j for j, x in enumerate(v) if x)
-    vi = v[i]
-    columns = list(zip(*num))
-    span = abs(max(columns[i]) // vi - min(columns[i]) // vi)
-    radices = [max(column) - min(column) + abs(y) * span + 1 for column, y in zip(columns, v)]
-    strides = list(accumulate(radices[:-1], mul, initial=2 * span + 1))
-    keys = map(mul, map(floordiv, columns[i], repeat(vi)), repeat(1 - sum(map(mul, v, strides))))
-    for column, stride in zip(columns, strides):
-        keys = map(add, keys, map(mul, column, repeat(stride)))
-    keyed = dict(zip(keys, num.items()))
-    quo: Terms = {}
+    if layout is None:  # radix j above p's range plus |v_j| times the range of k
+        columns = list(zip(*p.terms))
+        lows = list(map(min, columns))
+        span = abs(max(columns[i]) // v[i] - lows[i] // v[i])
+        radices = [max(column) - low + abs(y) * span + 1 for column, low, y in zip(columns, lows, v)]
+        strides = list(accumulate(radices[:-1], mul, initial=1))
+        keys = repeat(-sum(map(mul, lows, strides)))
+        for column, stride in zip(columns, strides):
+            keys = map(add, keys, map(mul, column, repeat(stride)))
+        p, layout = dict(zip(keys, p.terms.values())), (strides, radices, [-low for low in lows])
+    strides, radices, offsets = layout
+    stride, radix, offset, vi = strides[i], radices[i], offsets[i], v[i]
+    ks = [(key // stride % radix - offset) // vi for key in p]
+    span = max(ks) - min(ks)
+    width = 2 * span + 1
+    step = sum(map(mul, v, strides))
+    keys = map(sub, map(mul, p, repeat(width)), map(mul, ks, repeat(step * width - 1)))
+    keyed = dict(zip(keys, p.items()))
+    quo: dict[int, int] = {}
     s = 0
     for key in sorted(keyed):
         if s:
             gap = key - last
             if gap > span:
                 return None
-            quo[e] = s
-            for _ in range(gap - 1):
-                e = tuple(map(add, e, v))
+            for e in range(e, e + gap * step, step):
                 quo[e] = s
         e, c = keyed[key]
         s -= c
         last = key
     if s:
         return None
-    return {tuple(map(sub, e, a)): c for e, c in quo.items()} if any(a) else quo
+    columns = [[key // stride % radix for key in quo] for stride, radix in zip(strides, radices)]
+    lows = list(map(min, columns))
+    exps = zip(*[map(sub, column, repeat(low)) for column, low in zip(columns, lows)])
+    return _signed(len(v), dict(zip(exps, quo.values())), tuple(map(sub, lows, offsets)))
 
 
 def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """The exact quotient p / d in the Laurent ring, or None if d does not divide p.
 
     The quotient is unique when it exists (the ring is a domain).  A unit
-    binomial ±x^a (x^v - 1) divides line by line along e + Zv, in one sort
-    of p's terms and one scan that writes each quotient term once; every
-    other divisor takes leading-term long division.
+    binomial ±x^a (x^v - 1) divides line by line along e + Zv through
+    :func:`binomial_quotient`, whose unit, times x^-a, is multiplied back;
+    every other divisor takes leading-term long division.
 
     >>> a, b = (LaurentPoly.variable(2, i) for i in range(2))
     >>> q = divide_exact(a**2 * b - a * b - a + 1, a - 1)
@@ -450,8 +482,8 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         return p
     binomial = _unit_binomial(d.terms)
     if binomial is not None:
-        quo = _divide_by_binomial(p.terms, *binomial)
-        return None if quo is None else LaurentPoly._adopt(p.nvars, quo)
+        found = binomial_quotient(p, binomial[1])
+        return None if found is None else found[1].shifted([-x for x in binomial[0]]) * found[0]
     # Shift both to ordinary polynomials with per-variable min exponent 0;
     # exactness is unaffected because monomials are units.
     num, mp = _to_origin(p)

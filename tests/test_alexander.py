@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -102,8 +103,8 @@ class TestFoxDerivative:
             matrix = tuple(tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(rank))
             ab = AbelianizationMap(alphabet, rank, matrix, ())
             w = random_word(rng, alphabet, max_len=30)
-            packed, _, unpack = alexander._fox_row(w, ab)
-            row = [unpack(terms) for terms in packed]
+            packed, _, layout = alexander._fox_row(w, ab)
+            row = [alexander._unpack(rank, layout, terms) for terms in packed]
             assert len(row) == s
             for j, g in enumerate(alphabet):
                 expected = LaurentPoly.zero(rank)
@@ -152,7 +153,8 @@ class TestFoxDerivative:
                 Word(alphabet, [(rng.randrange(4), rng.choice([1, -1])) for _ in range(n)]),
             ]
             for w in words:
-                packed, steps, unpack = alexander._fox_row(w, ab)
+                packed, steps, layout = alexander._fox_row(w, ab)
+                unpack = partial(alexander._unpack, rank, layout)
                 row = [unpack(terms) for terms in packed]
                 assert row == self.tuple_row(w, ab)
                 residue = LaurentPoly.monomial(rank, ab.image(w)) - 1
@@ -223,10 +225,10 @@ class TestAlexanderMatrix:
         walk = alexander._fox_row
 
         def doctored(w, ab):
-            row, steps, unpack = walk(w, ab)
+            row, steps, layout = walk(w, ab)
             key = next(k for k, c in row[0].items() if c)
             row[0][key] = -row[0][key]
-            return row, steps, unpack
+            return row, steps, layout
 
         monkeypatch.setattr(alexander, "_fox_row", doctored)
         message = "fundamental identity fails on relator 0: residue"
@@ -524,11 +526,117 @@ class TestDeficiencyOneQuotient:
         # Fox's identity makes the division exact, so a failure is an
         # arithmetic fault, not a reason to fall back to the gcd route.
         # The check is an explicit raise, so it also runs under python -O.
-        monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
+        monkeypatch.setattr(alexander, "binomial_quotient", lambda *args: None)
         with pytest.raises(InvariantError, match="deficiency-one quotient") as caught:
             alexander_data(CERTIFIED["relator_0"])
         assert caught.value.stage == "deficiency-one quotient"
         assert "contradicting Fox's identity" in caught.value.witness
+
+
+def syllable_relator(rng, syllables):
+    """a^p1 b^q1 ... then the negated powers in shuffled order: closed, |powers| <= 50."""
+    powers = [[rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(syllables)] for _ in "ab"]
+    for own in powers:
+        closing = [-x for x in own]
+        rng.shuffle(closing)
+        own += closing
+    return Word(AB, [(g, 1 if x > 0 else -1) for pair in zip(*powers) for g, x in enumerate(pair)
+                     for _ in range(abs(x))])
+
+
+def one_relator_family():
+    """200 seeded closed relators on a, b: 170 of syllables, 30 of a^k b a^-k b^-1 or
+    b^k a b^-k a^-1 (k <= 2000), then [[a, b], [a, b^2]], whose Fox derivatives vanish."""
+    rng = random.Random(24)
+    words = [syllable_relator(rng, rng.randint(1, 4)) for _ in range(170)]
+    for _ in range(30):
+        k = rng.randint(1, 2000)
+        long, short = rng.sample(["a", "b"], 2)
+        words.append(parse_word(f"{long}^{k} {short} {long}^-{k} {short}^-1", AB))
+    return [*words, golden_presentation("degenerate2.pres").relators[0]]
+
+
+class TestPackedOneRelatorQuotient:
+    """At s = 2, Delta straight from the packed Fox row against the decoded-entry routes."""
+
+    def test_matches_the_tuple_route(self):
+        forced = set()
+        for w in one_relator_family():
+            pres = Presentation(AB, (w,))
+            data = alexander_data(pres)
+            ((da, db),) = alexander_matrix(pres).entries
+            nonzero = [g for g in (da, db) if not g.is_zero()]
+            if not nonzero:
+                assert data.degenerate and data.e1_units is None
+                continue
+            # Delta is the gcd of the two 1 x 1 minors, elementary_ideal's E_1.
+            _, minors = first_minors(pres)
+            assert set(minors) == {da, db}
+            assert data.polynomial.terms == gcd_many(nonzero).terms
+            # Dropping the column with more terms (a on a tie) leaves the other
+            # entry; its quotient by the dropped generator's binomial, split by
+            # split_unit, is Delta term for term in the same order, with its units.
+            j = 0 if len(da.terms) >= len(db.terms) else 1
+            forced.add(j)
+            q, unit = split_unit(divide_exact((db, da)[j], (A - 1, B - 1)[j]))
+            assert list(data.polynomial.terms.items()) == list(q.terms.items())
+            assert data.e1_units == (unit * (-1) ** j, unit * (-1) ** (j + 1))
+        assert forced == {0, 1}
+
+    def test_a_line_that_does_not_sum_to_zero_has_no_quotient(self):
+        # dr/da = b^7 - 1 for r = [b^7, a], divided along b on the walk's own
+        # keys, where the lines a^0 b^Z and a^1 b^Z pack next to each other.
+        # Moving one unit from line a^1 to line a^0 keeps the total at 0, and
+        # the two lines' keys lie span + 1 apart, so only the same-line gap
+        # test sees the line that does not sum to zero.
+        w = parse_word("b^7 a b^-7 a^-1", AB)
+        row, _, layout = alexander._fox_row(w, free_abelianization(Presentation(AB, (w,))))
+        strides, _, bounds = layout
+        delta, unit = laurent.binomial_quotient(row[0], (0, 1), layout)
+        assert (delta, unit) == (sum(B**k for k in range(7)), LaurentPoly.one(2))
+        doctored = dict(row[0])
+        for x, y, c in ((0, 3, 1), (1, 0, -1)):
+            key = (x + bounds[0]) * strides[0] + (y + bounds[1]) * strides[1]
+            doctored[key] = doctored.get(key, 0) + c
+        assert laurent.binomial_quotient(doctored, (0, 1), layout) is None
+
+    @pytest.mark.parametrize("rel", ["a^2 b a^-1 b a^2 b^-1 a^-3 b^-1", "b^7 a b^-7 a^-1"])
+    def test_decodes_no_entry_and_computes_no_determinant(self, rel, monkeypatch):
+        unpacked = []
+        unpack = alexander._unpack
+
+        def recording(*args):
+            unpacked.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(alexander, "_unpack", recording)
+        dets = count_det_calls(monkeypatch)
+        data = alexander_data(presentation("a b", [rel]))
+        assert not data.degenerate and data.e1_units is not None
+        assert unpacked == [] and dets == []
+        assert "entries" not in vars(data.matrix) and data.matrix.nrows == 1
+        data.matrix.entries
+        assert len(unpacked) == 2
+
+    def test_lazy_entries_equal_an_eager_decode(self):
+        for pres in [*(Presentation(AB, (w,)) for w in one_relator_family()[::20]),
+                     TORI["torus_n5_c2"], TORI["torus_n4_c1"],
+                     golden_presentation("vanish3.pres"), presentation("a b", [])]:
+            lazy, other = alexander_matrix(pres), alexander_matrix(pres)
+            ab = lazy.abelianization
+            eager = tuple(tuple(fox_derivative(r, g, ab) for g in pres.alphabet) for r in pres.relators)
+            built = AlexanderMatrix(pres, ab, eager)
+            assert "entries" not in vars(lazy)
+            # repr, hash and == read the entries; the decode is cached.
+            assert repr(lazy) == repr(built)
+            assert "entries" in vars(lazy)
+            assert lazy.entries == eager and lazy.entries is lazy.entries
+            assert hash(other) == hash(built) and other == built and built == other
+            assert lazy == other and not lazy != built
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            alexander_matrix(pres).missing
+        with pytest.raises(AttributeError, match="immutable"):
+            lazy.entries = eager
 
 
 class TestSymmetry:

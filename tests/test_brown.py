@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normforge import brown
 from normforge.bns import compare_sigma, cone_contains, rank2_arcs, sigma_alexander
 from normforge.brown import (
     UnsupportedPresentation,
@@ -167,3 +168,18 @@ class TestBrownSigma:
     def test_unsupported_shapes(self, gens, rels, fragment):
         with pytest.raises(UnsupportedPresentation, match=fragment):
             brown_sigma(presentation(gens, rels))
+
+    @pytest.mark.parametrize("rel, closed", [("a b a^-1 b^-1", True), ("a b^2 a^-1 b^-1", False)])
+    def test_walks_the_relator_once(self, rel, closed, monkeypatch):
+        # The path's end point is the exponent vector, so the closed-path test
+        # needs no second walk over the relator.
+        walks = []
+        monkeypatch.setattr(brown, "trace_relator", lambda r: walks.append(r) or trace_relator(r))
+        monkeypatch.setattr(Word, "exponent_vector", lambda w: pytest.fail("second walk"))
+        pres = presentation("a b", [rel])
+        if closed:
+            assert len(brown_sigma(pres).components) == 4
+        else:
+            with pytest.raises(UnsupportedPresentation, match="not in commutator subgroup"):
+                brown_sigma(pres)
+        assert walks == [pres.relators[0]]

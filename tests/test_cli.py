@@ -354,7 +354,7 @@ class TestCheckCommand:
 class TestInvariantFailure:
     def test_contradiction_exits_1_with_one_line(self, capsys, monkeypatch):
         # A division that Fox's identity makes exact cannot fail; force it.
-        monkeypatch.setattr(alexander, "divide_exact", lambda p, d: None)
+        monkeypatch.setattr(alexander, "binomial_quotient", lambda *args: None)
         status, out, err = run(capsys, "alexander", "@section6.pres")
         assert status == 1
         assert out == ""
@@ -364,10 +364,10 @@ class TestInvariantFailure:
         )
 
     def test_other_errors_still_raise(self, monkeypatch):
-        def broken(p, d):
+        def broken(*args):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(alexander, "divide_exact", broken)
+        monkeypatch.setattr(alexander, "binomial_quotient", broken)
         with pytest.raises(ZeroDivisionError):
             main(["alexander", "@section6.pres"])
 

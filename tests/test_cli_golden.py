@@ -55,6 +55,11 @@ INPUTS = (
     ("link3_r1r3.pres", (("alexander",),)),
     # deficiency one, b_1 = 3, one relator given twice: every maximal minor vanishes
     ("vanish3.pres", (("alexander",), ("check",))),
+    # [b^300, a]: column b has 600 terms and column a has 2, so Delta = D_1 / (b - 1)
+    # is divided along the second axis
+    ("commutator_b300.pres", PRES_COMMANDS),
+    # [[a,b],[a,b^2]]: both Fox derivatives are zero, so the one-relator Delta is degenerate
+    ("degenerate2.pres", PRES_COMMANDS),
 )
 
 

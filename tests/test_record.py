@@ -92,10 +92,13 @@ def test_record_contract(cls, instances):
     # Positional and keyword construction give equal, separate instances.
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(reversed(fields), reversed(values))))
+    # An AlexanderMatrix from alexander_matrix also keeps the packed Fox rows
+    # its entries were decoded from; a rebuilt one holds the fields alone.
+    fields_only = {k: v for k, v in vars(obj).items() if k != "_packed"}
     for other in (by_position, by_keyword):
         assert other is not obj
         assert other == obj and obj == other and not other != obj
-        assert vars(other) == vars(obj)
+        assert vars(other) == fields_only
     if cls is words.PresentationFile:
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)  # its ``words`` field is a dict
