@@ -53,6 +53,7 @@ from .laurent import (
     invert_variables,
     poly_matrix_det,
     poly_to_text,
+    unpack as _unpack,
 )
 from .words import (
     AbelianizationMap,
@@ -72,8 +73,9 @@ def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list
     carry.  The letter x_j^±1 after the prefix u adds +u_bar (or
     -u_bar x_j_bar^-1) to dw/dx_j alone: one int add and one dict update.
     ``row[j]`` holds dw/dx_j by key, zeros kept; ``steps[j]`` is x_j's
-    packed image; ``layout`` is (strides, radices, bounds), which
-    :func:`_unpack` and :func:`.laurent.binomial_quotient` decode.
+    packed image; ``layout`` is (strides, radices, bounds), the offsets
+    being the bounds, which :func:`.laurent.unpack` (bound here as
+    ``_unpack``) and :func:`.laurent.binomial_quotient` decode.
     """
     images = list(zip(*ab.matrix)) or [()] * len(w.alphabet)
     bounds = [len(w) * max(map(abs, moves)) for moves in ab.matrix]
@@ -91,17 +93,6 @@ def _fox_row(w: Word, ab: AbelianizationMap) -> tuple[list[dict[int, int]], list
             key -= steps[idx]
             terms[key] = terms.get(key, 0) - 1
     return row, steps, (strides, radices, bounds)
-
-
-def _unpack(rank: int, layout: Layout, terms: dict[int, int]) -> LaurentPoly:
-    # A packed Fox entry as a LaurentPoly, zeros dropped.
-    if not terms:  # most entries of a long presentation's rows
-        return LaurentPoly._adopt(rank, {})
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
-    digits = [[k // s % r - b for k in terms] for s, r, b in zip(*layout)]
-    vectors = zip(*digits) if digits else [()] * len(terms)
-    return LaurentPoly._adopt(rank, dict(zip(vectors, terms.values())))
 
 
 def _check_identity(i: int, row: list[dict[int, int]], steps: list[int], unpack: Callable) -> None:

@@ -159,6 +159,8 @@ def cmd_norm(args) -> int:
     from fractions import Fraction
 
     try:
+        if "e" in args.phi.lower():  # Fraction("1e999999999") would build a billion-digit int
+            raise ValueError(args.phi)
         phi = [Fraction(tok) for tok in args.phi.split(",")]
     except (ValueError, ZeroDivisionError):
         raise words.ParseError(None, f"malformed class {args.phi!r}; expected e.g. 1,0 or 1/2,-3")

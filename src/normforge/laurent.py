@@ -16,17 +16,22 @@ into a dict it is handed (products and long division).
 ``LaurentPoly(nvars, terms)`` checks and copies caller terms; every
 result built here from valid terms is taken by ``_adopt`` as is.
 
-Determinants of n x n matrices, n >= 2, pack exponents into int keys
-(Kronecker substitution): each row is shifted by the unit x^-low, low its
-per-variable minimum exponent, so all exponents are >= 0, and each
-variable is one digit of a mixed-radix key whose radix exceeds its summed
-row ranges.  A minor's exponents never exceed that bound, so digits never
-carry and a product's key is the sum of its factors' keys.  Minors are
-memoised by column bitmask.  Where the minors are likely to fill their
-key range, each is one big int holding a coefficient digit per key, so
-entry x minor is a shift and an add per entry term; otherwise each is a
-dict multiply-accumulated like ``_dict_mul``.  The result is decoded once
-(see :func:`poly_matrix_det`).
+Exponent vectors can be packed into int keys (Kronecker substitution):
+each variable is one digit of a mixed-radix key, and :func:`unpack` is
+the one decoder of such keys, for determinants, the Fox rows of
+:mod:`.alexander` and :func:`binomial_quotient` alike.
+
+Determinants of n x n matrices, n >= 2, shift each row by the unit
+x^-low, low its per-variable minimum exponent, so all exponents are
+>= 0, and give each variable a radix above its summed row ranges.  A
+minor's exponents never exceed that bound, so digits never carry and a
+product's key is the sum of its factors' keys.  One memoised Laplace
+expansion computes the minors, keyed by column bitmask, in one of two
+stores.  Where the minors are likely to fill their key range, each is
+one big int holding a coefficient digit per key, so entry x minor is a
+shift and an add per entry term; otherwise each is a dict from key to
+coefficient, multiply-accumulated.  The result is decoded once (see
+:func:`poly_matrix_det`).
 
 The units of this ring are exactly the signed monomials ±x^v.
 Quantities that are only well defined up to a unit (gcds, Alexander
@@ -73,7 +78,7 @@ from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Terms = dict[Exponents, int]
-Layout = tuple[Sequence[int], Sequence[int], Sequence[int]]  # strides, radices, offsets
+Layout = tuple[Sequence[int], Sequence[int], Sequence[int]]  # strides, radices, offsets: see unpack
 
 
 class LaurentPoly:
@@ -360,6 +365,21 @@ def _dict_mul(a: Terms, b: Terms, out: Terms, sign: int = 1) -> Terms:
     return out
 
 
+def unpack(nvars: int, layout: Layout, terms: dict[int, int]) -> LaurentPoly:
+    """The polynomial with ``terms`` on packed int keys, zero coefficients dropped.
+
+    With ``layout`` = (strides, radices, offsets), exponent j of the term
+    on key k is k // strides[j] % radices[j] - offsets[j].
+    """
+    if not terms:  # most entries of a long presentation's Fox rows
+        return LaurentPoly._adopt(nvars, {})
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    digits = [[k // s % r - o for k in terms] for s, r, o in zip(*layout)]
+    vectors = zip(*digits) if digits else [()] * len(terms)
+    return LaurentPoly._adopt(nvars, dict(zip(vectors, terms.values())))
+
+
 # --------------------------------------------------------------------------
 # Exact division
 # --------------------------------------------------------------------------
@@ -401,8 +421,7 @@ def binomial_quotient(
     """``split_unit(p / (x^v - 1))`` for v != 0, or None if x^v - 1 does not divide p.
 
     ``p`` is a LaurentPoly, packed here, or int keys to coefficients (zeros
-    allowed) with the ``layout`` (strides, radices, offsets) that decodes
-    them: digit j of a key is key // strides[j] % radices[j] - offsets[j],
+    allowed) with the ``layout`` that decodes them (see :func:`unpack`),
     all digits in range.  The layout must hold each point between two of
     p's points on a line e + Zv, and pack the starts e - kv of p's lines
     without a carry (every axis v does, on keys whose digits stay in range).
@@ -640,7 +659,7 @@ def exponent_map(p: LaurentPoly, matrix: Sequence[Sequence[int]]) -> LaurentPoly
 
 
 # A dense minor is one int of at most this many bits (512 KiB); the memo
-# holds up to one per column subset, so wider matrices take the dict kernel.
+# holds up to one per column subset, so wider matrices take the dict store.
 _DENSE_MAX_BITS = 1 << 22
 
 
@@ -664,37 +683,39 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     (row max - row min) of variable i over all rows.  Variable i is the
     digit of radix span_i + 1 in a mixed-radix key, so digits never carry,
     a product's key is the sum of its factors' keys, and every key is below
-    ``slots``, the product of the radices.  The determinant is unpacked
-    once and multiplied back by x^(sum of low_r).
+    ``slots``, the product of the radices.  The determinant is decoded
+    once by :func:`unpack`, with offsets that multiply it back by
+    x^(sum of low_r).
 
-    Two kernels expand the minors.  The dict kernel keeps a minor as a
-    dict from key to coefficient and multiply-accumulates each signed
-    product entry x sub-minor into it.  The dense kernel keeps a minor as
-    one int, the sum of c * 2^(b * key) over its terms, so a product is one
-    shift and one add or subtract per entry term, with a multiply only for
-    a coefficient other than +-1.  Every coefficient of a minor on rows
-    r..n-1 is a signed sum of products of one entry coefficient per row
-    of those rows, so in absolute value it is at most the product of
-    their row norms sum_j ||a_rj||_1.  Every row norm is >= 1 (an all-zero
-    row returned above), so B = the product of all n row norms bounds
-    every minor, and a digit width b, a multiple of 8 with
-    b >= bitlen(B) + 1 (8, 16, 32 or 64 up to 64 bits), holds each
-    coefficient as a digit below 2^(b-1) in absolute value.  So the int
-    is 0 exactly when its minor is, and its digits can be read back
-    without carries.  The determinant's int is decoded once:
-    adding the constant with digit 2^(b-1) in every slot makes each digit
-    c + 2^(b-1), and XOR with the same constant turns that into c in b-bit
-    two's complement, read from ``to_bytes`` through a signed
-    ``memoryview.cast`` (b <= 64 on a little-endian machine) or by
-    ``int.from_bytes`` per slot.
+    One expansion (:func:`_expand`) serves two minor stores; only the
+    one-column minors and the step entry x sub-minor differ.  The dict
+    store keeps a minor as a dict from key to coefficient and
+    multiply-accumulates each signed product into it.  The dense store
+    keeps a minor as one int, the sum of c * 2^(b * key) over its terms,
+    so a product is one shift and one add or subtract per entry term,
+    with a multiply only for a coefficient other than +-1.  Every
+    coefficient of a minor on rows r..n-1 is a signed sum of products of
+    one entry coefficient per row of those rows, so in absolute value it
+    is at most the product of their row norms sum_j ||a_rj||_1.  Every
+    row norm is >= 1 (an all-zero row returned above), so B = the product
+    of all n row norms bounds every minor, and a digit width b, a
+    multiple of 8 with b >= bitlen(B) + 1 (8, 16, 32 or 64 up to 64
+    bits), holds each coefficient as a digit below 2^(b-1) in absolute
+    value.  So the int is 0 exactly when its minor is, and its digits can
+    be read back without carries.  The determinant's int is read into a
+    dict once (:func:`_dense_digits`): adding the constant with digit
+    2^(b-1) in every slot makes each digit c + 2^(b-1), and XOR with the
+    same constant turns that into c in b-bit two's complement, read from
+    ``to_bytes`` through a signed ``memoryview.cast`` (b <= 64 on a
+    little-endian machine) or by ``int.from_bytes`` per slot.
 
     The dense int costs its full width whether or not a slot is used, so
-    the dense kernel runs only where the minors are likely to fill it
+    the dense store is taken only where the minors are likely to fill it
     (:func:`_goes_dense`): the rows average at least 4 terms, the product
     of the rows' term counts (a bound on the determinant's term count) is
     at least ``slots``, and b * slots is at most ``_DENSE_MAX_BITS``.
     Matrices with about 2 terms per row (Burau matrices), wide exponents
-    or few rows over a large exponent box take the dict kernel.
+    or few rows over a large exponent box take the dict store.
 
     >>> a = LaurentPoly.variable(1, 0)
     >>> print(poly_to_text(poly_matrix_det([[a, a], [a + 1, a]]), ("a",)))
@@ -741,47 +762,49 @@ def poly_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         [[(sum(map(mul, e, scale)) - origin, c) for e, c in entry.items()] for entry in row]
         for row, origin in zip(mat, [sum(map(mul, low, scale)) for low in lows])
     ]
-    det = _dense_det(packed, slots, bits) if dense else _dict_det(packed)
-    base = [sum(c) for c in zip(*lows)]
-    keys = list(det)
-    # Variable i's exponent in each term: digit i of its key, shifted back.
-    per_variable = [[k // s % (span + 1) + b for k in keys]
-                    for s, span, b in zip(strides, spans, base)]
-    vectors = list(zip(*per_variable)) if nvars else [()] * len(keys)
-    return LaurentPoly._adopt(nvars, dict(zip(vectors, det.values())))
+    det = _expand(packed, dense)
+    if dense:
+        det = _dense_digits(det, slots, bits)
+    # Variable i's exponent: digit i of the key, shifted back by the rows' summed lows.
+    return unpack(nvars, (strides, [s + 1 for s in spans], [-sum(c) for c in zip(*lows)]), det)
 
 
 def _goes_dense(counts: list[int], slots: int, bits: int) -> bool:
-    """Whether the dense kernel runs, from the rows' term counts and the int's size."""
+    """Whether the minors take the dense store, from the rows' term counts and the int's size."""
     return sum(counts) >= 4 * len(counts) and prod(counts) >= slots and bits * slots <= _DENSE_MAX_BITS
 
 
-def _nonzero_entries(packed: list[list[list[tuple[int, int]]]]) -> list[list[tuple]]:
-    """Per row, (column bit, mask of the columns left of it, terms) for each nonzero entry.
+def _expand(packed: list[list[list[tuple[int, int]]]], dense: bool) -> dict[int, int] | int:
+    """The memoised Laplace expansion of ``packed``, in the dense or the dict store.
 
     Expanding a minor along its first row, the entry in column j has sign
     (-1)^(number of the minor's columns left of j).
     """
-    return [[(1 << j, (1 << j) - 1, entry) for j, entry in enumerate(row) if entry]
-            for row in packed]
-
-
-def _dict_det(packed: list[list[list[tuple[int, int]]]]) -> dict[int, int]:
-    """The dict kernel: each minor a dict from packed key to coefficient."""
-    n = len(packed)
-    rows = _nonzero_entries(packed)
+    rows = [[(1 << j, (1 << j) - 1, entry) for j, entry in enumerate(row) if entry] for row in packed]
     # Memo by column bitmask; the one-column minors are the last row's entries.
-    minors = {1 << j: dict(entry) for j, entry in enumerate(packed[-1])}
+    minors = {1 << j: sum([c << s for s, c in entry]) if dense else dict(entry)
+              for j, entry in enumerate(packed[-1])}
 
-    def minor(mask: int, r: int) -> dict[int, int]:
-        total: dict[int, int] = {}
+    def minor(mask: int, r: int) -> dict[int, int] | int:
+        total = 0 if dense else {}
         for bit, left, entry in rows[r]:
             if mask & bit:
                 below = minors.get(mask ^ bit)
                 if below is None:
                     below = minor(mask ^ bit, r + 1)
-                if below:
-                    sign = -1 if (mask & left).bit_count() & 1 else 1
+                if not below:
+                    continue
+                sign = -1 if (mask & left).bit_count() & 1 else 1
+                if dense:
+                    for s, c in entry:
+                        c *= sign
+                        if c == 1:
+                            total += below << s
+                        elif c == -1:
+                            total -= below << s
+                        else:
+                            total += (below << s) * c
+                else:
                     for k1, c1 in entry:
                         c1 *= sign
                         for k2, c2 in below.items():
@@ -794,41 +817,16 @@ def _dict_det(packed: list[list[list[tuple[int, int]]]]) -> dict[int, int]:
         minors[mask] = total
         return total
 
-    return minor((1 << n) - 1, 0)
+    det = minor((1 << len(packed)) - 1, 0)
+    del minor  # it holds itself through its closure: free the memo now, not at the next gc
+    return det
 
 
-def _dense_det(packed: list[list[list[tuple[int, int]]]], slots: int, bits: int) -> dict[int, int]:
-    """The dense kernel: each minor one int with a ``bits``-wide digit per key.
-
-    ``packed`` holds each entry's terms as (bit offset, coefficient) pairs.
-    """
-    n = len(packed)
-    rows = _nonzero_entries(packed)
-    minors = {1 << j: sum([c << s for s, c in entry]) for j, entry in enumerate(packed[-1])}
-
-    def minor(mask: int, r: int) -> int:
-        total = 0
-        for bit, left, entry in rows[r]:
-            if mask & bit:
-                below = minors.get(mask ^ bit)
-                if below is None:
-                    below = minor(mask ^ bit, r + 1)
-                if below:
-                    sign = -1 if (mask & left).bit_count() & 1 else 1
-                    for s, c in entry:
-                        c *= sign
-                        if c == 1:
-                            total += below << s
-                        elif c == -1:
-                            total -= below << s
-                        else:
-                            total += (below << s) * c
-        minors[mask] = total
-        return total
-
+def _dense_digits(det: int, slots: int, bits: int) -> dict[int, int]:
+    """A dense minor's nonzero ``bits``-wide signed digits, by key."""
     size = bits // 8
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    data = ((minor((1 << n) - 1, 0) + offset) ^ offset).to_bytes(size * slots, "little")
+    data = ((det + offset) ^ offset).to_bytes(size * slots, "little")
     if size <= 8 and sys.byteorder == "little":
         digits = memoryview(data).cast("bhiq"[size.bit_length() - 1])
     else:

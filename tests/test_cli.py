@@ -113,6 +113,16 @@ class TestNormCommands:
         assert status == 2
         assert "malformed class" in err
 
+    def test_norm_refuses_exponent_form(self, capsys):
+        # The exponent form would build a 10^k-digit numerator before the norm
+        # is reached; integers, p/q and decimals are the accepted forms.
+        for phi in ("1e5000,0", "1e10000000,0", "0,2E3"):
+            for fmt in ("text", "json"):
+                status, out, err = run(capsys, "norm", "--format", fmt, "--phi", phi, "@section6.pres")
+                assert (status, out) == (2, "")
+                assert err == f"input error: malformed class {phi!r}; expected e.g. 1,0 or 1/2,-3\n"
+        assert run(capsys, "norm", "--phi", "0.5,-1.25", "@section6.pres")[:2] == (0, "5/4\n")
+
     def test_errors_from_no_input_line_name_no_line(self, capsys):
         # A bad option value or an unknown @name is no line of any input.
         for argv, message in (

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -637,7 +638,7 @@ class TestPolyMatrixDet:
 
     @staticmethod
     def kernel_choices(monkeypatch, rows):
-        """The kernel choices ``poly_matrix_det(rows)`` makes: True for dense, False for dict."""
+        """The store choices ``poly_matrix_det(rows)`` makes: True for dense, False for dict."""
         choices = []
         choose = laurent._goes_dense
 
@@ -651,21 +652,21 @@ class TestPolyMatrixDet:
         return choices
 
     def test_both_kernels_against_leibniz(self, monkeypatch):
-        # Each matrix runs through the dict kernel and the dense kernel,
+        # Each matrix runs through the dict store and the dense store,
         # whatever the size rule would pick: 0-3 variables, sizes 2-6,
         # negative exponents, a variable absent from the whole matrix, and
         # coefficients small (digits of at most 64 bits, read through
         # memoryview.cast) or up to 2^40 (digits wider than 64 bits, read
-        # slot by slot).
+        # slot by slot; the spy on the dense decode sees both widths).
         rng = random.Random(53)
         widths = set()
-        dense_det = laurent._dense_det
+        dense_digits = laurent._dense_digits
 
-        def dense_spy(packed, slots, bits):
+        def dense_spy(det, slots, bits):
             widths.add(bits)
-            return dense_det(packed, slots, bits)
+            return dense_digits(det, slots, bits)
 
-        monkeypatch.setattr(laurent, "_dense_det", dense_spy)
+        monkeypatch.setattr(laurent, "_dense_digits", dense_spy)
         for max_coeff in (3, 2**40):
             for nvars in range(4):
                 absent = rng.randrange(nvars) if nvars >= 2 else None
@@ -689,16 +690,22 @@ class TestPolyMatrixDet:
                             assert all(e[absent] == 0 for e in det.terms)
         assert min(widths) <= 64 < max(widths)
 
-    def test_kernel_choice(self, monkeypatch):
+    @staticmethod
+    def anchor_minor():
+        """An 8x8 minor of the Fox matrix of the seed-0 braid-torus anchor braid."""
         from normforge import alexander, braid
 
-        # An 8x8 minor of the Fox matrix of the seed-0 braid-torus anchor
-        # braid: about 20 terms per row, so its minors fill their slots.
         anchor = braid.parse_braid(
             "n=8: 4 -5 -6 -4 2 4 4 -1 6 3 -5 -4 -1 4 -1 6 -5 -2 3 4 -2 5 6 1 -7"
         )
         fox = alexander.alexander_matrix(braid.mapping_torus_presentation(anchor)).entries
-        assert self.kernel_choices(monkeypatch, [row[1:] for row in fox]) == [True]
+        return [row[1:] for row in fox]
+
+    def test_kernel_choice(self, monkeypatch):
+        from normforge import braid
+
+        # About 20 terms per row, so the anchor minor's minors fill their slots.
+        assert self.kernel_choices(monkeypatch, self.anchor_minor()) == [True]
         # Burau(gamma_120): about 2 terms per row, near-monomial minors.
         assert self.kernel_choices(monkeypatch, braid.burau(braid.gamma(120)).entries) == [False]
         # Wide exponents: the dense int would have more than 2^20 slots.
@@ -717,6 +724,23 @@ class TestPolyMatrixDet:
         band = [[x ** ((j - i) % 12 * 2**16) if (j - i) % 12 < 4 else LaurentPoly.zero(1)
                  for j in range(12)] for i in range(12)]
         assert self.kernel_choices(monkeypatch, band) == [False]
+
+    def test_leaves_no_garbage_cycle(self, monkeypatch):
+        # The memo of every minor is freed when the determinant returns, not
+        # left in a reference cycle for the cyclic collector.
+        from normforge import braid
+
+        dense, sparse = self.anchor_minor(), braid.burau(braid.gamma(60)).entries
+        assert self.kernel_choices(monkeypatch, dense) == [True]
+        assert self.kernel_choices(monkeypatch, sparse) == [False]
+        gc.collect()
+        gc.disable()
+        try:
+            poly_matrix_det(dense)
+            poly_matrix_det(sparse)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConstructionRule:
