@@ -14,10 +14,15 @@ name the input line at fault when there is one (``input error: line N:
 ...``; an unreadable source or a bad option value has no line).  A
 closed stdout ends a command with status 1, silently.
 
-The parser is built for the requested command alone (see
-:func:`_build_parser`); ``-h``, ``--version``, no command or an unknown
-one build every command's, and the text argparse prints is the same
-either way.
+A plain command line (the command name, then options by their exact
+names with each value in the next token, and the one positional) is
+read straight from the ``_COMMANDS`` table by :func:`_parse_plain`,
+which builds the attributes argparse would.  Any other line (``-h``,
+``--version``, an abbreviation, ``--opt=value``, a usage error) falls
+through to argparse, which alone prints help, version and error text,
+so ``argparse`` is loaded only then.  Its parser is built for the
+requested command alone (see :func:`_build_parser`); no command or an
+unknown one builds every command's, and the text is the same either way.
 
 Reports that print unit-class quantities also print the normalization
 and variable conventions in use, so golden outputs are self-describing.
@@ -26,12 +31,12 @@ Rational numbers appear in JSON as [numerator, denominator] pairs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
-# ``json`` and ``fractions`` are imported inside the functions that use
-# them, so a command whose output needs neither does not load them.
+# ``json``, ``fractions`` and ``argparse`` are imported inside the
+# functions that use them, so a command that needs none does not load them.
 
 # Library modules are bound, not their names: a module's code runs only
 # when a command first calls into it (see the package docstring).
@@ -493,7 +498,7 @@ def _check_text(p, args) -> list[str]:
 
 def cmd_examples(args) -> int:
     names = _example_names()
-    if args.name:
+    if args.name is not None:
         if args.name not in names:
             raise words.ParseError(None, f"no bundled example {args.name!r}")
         sys.stdout.write(_read_example(args.name))
@@ -508,8 +513,10 @@ def cmd_examples(args) -> int:
 # --------------------------------------------------------------------------
 
 
-# Name -> (help, options beyond ``input`` and ``--format`` as add_argument
-# (name, keywords) pairs).  ``examples`` alone takes no input or format.
+# Name -> (help, options beyond the ``_INPUT_OPTIONS`` below, as
+# add_argument (name, keywords) pairs).  ``examples`` alone takes no input
+# or format.  The one table of commands and options: ``_build_parser``
+# hands it to argparse and ``_parse_plain`` reads the same keywords.
 # ``main`` looks ``cmd_<name>`` up when the command runs, so a wrapper put
 # in its place (a tracer, a test) is the one called.
 _COMMANDS = {
@@ -534,10 +541,71 @@ _COMMANDS = {
     "examples": ("list or print bundled example inputs", (
         ("name", dict(nargs="?", help="print this bundled file")),)),
 }
+_INPUT_OPTIONS = (
+    ("input", dict(help="path, '-' for stdin, or @name for a bundled example")),
+    ("--format", dict(choices=("text", "json"), default="text")),
+)
+
+
+def _options(command: str) -> tuple:
+    options = _COMMANDS[command][1]
+    return options if command == "examples" else _INPUT_OPTIONS + options
+
+
+def _parse_plain(argv: list[str]) -> types.SimpleNamespace | None:
+    """The attributes argparse builds for a plain command line, or None for any other line.
+
+    Plain: the command name, then in any order its options by their exact
+    names, each value in the next token and within its ``choices``, and
+    its one positional (which ``examples`` may leave out).  No token but
+    the positional ``-`` may start with ``-``, so help, version,
+    abbreviations, ``--opt=value``, ``--`` and negative numbers all go to
+    argparse, as do a missing or extra positional and a missing required
+    option.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values, flags, given = {"command": argv[0]}, {}, []
+    for name, kwargs in _options(argv[0]):
+        if name.startswith("-"):
+            flags[name] = kwargs
+            values[_dest(name)] = kwargs.get("default", False if _is_switch(kwargs) else None)
+        else:
+            positional, optional, values[name] = name, kwargs.get("nargs") == "?", None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        kwargs = flags.get(token)
+        if kwargs is None:
+            if token.startswith("-") and token != "-":
+                return None
+            given.append(token)
+        elif _is_switch(kwargs):
+            values[_dest(token)] = True
+        else:
+            value = next(tokens, "-")  # a missing value is declined like a dash
+            if value.startswith("-") or value not in kwargs.get("choices", (value,)):
+                return None
+            values[_dest(token)] = value
+    if len(given) > 1 or not (given or optional):
+        return None
+    values[positional] = given[0] if given else None
+    if any(kwargs.get("required") and values[_dest(name)] is None for name, kwargs in flags.items()):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _is_switch(kwargs: dict) -> bool:
+    return kwargs.get("action") == "store_true"
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone if it names one, else of every command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="normforge",
         description="Exact Alexander/BNS/Burau invariants of finitely presented groups.",
@@ -551,12 +619,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         names, metavar = _COMMANDS, None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if name != "examples":
-            p.add_argument("input", help="path, '-' for stdin, or @name for a bundled example")
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        for option, kwargs in options:
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
+        for option, kwargs in _options(name):
             p.add_argument(option, **kwargs)
     return parser
 
@@ -564,7 +628,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         status = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()

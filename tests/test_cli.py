@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -68,6 +69,9 @@ class TestBundledExamples:
         status, _, err = run(capsys, "examples", "nope.pres")
         assert status == 2
         assert "no bundled example" in err
+
+    def test_empty_example_name_is_refused(self, capsys):
+        assert run(capsys, "examples", "") == (2, "", "input error: no bundled example ''\n")
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bundled_gammas_are_n_cycles(self, n):
@@ -450,6 +454,42 @@ PARSER_CASES = [
 ]
 
 
+# More lines the plain parser leaves to argparse: spellings only argparse reads,
+# help after the input, and an option whose value is missing at the end.
+ARGPARSE_ONLY = [
+    ("mapping-torus", "--cross", "@gamma_3.braid"),
+    ("alexander", "--format=json", "@section6.pres"),
+    ("alexander", "--", "@section6.pres"),
+    ("alexander", "@section6.pres", "-h"),
+    ("norm", "--phi", "-1,0", "@section6.pres"),
+    ("alexander", "-5"),
+    ("norm", "@section6.pres", "--phi"),
+]
+PLAIN_INPUTS = ("-", "@section6.pres", "tests/golden/link7.pres", "")
+
+
+def plain_lines(command: str):
+    """Every subset (with each required option) and order of the command's options, with
+    every choice value, and each of ``PLAIN_INPUTS`` (or none, where the positional is
+    optional) at each place among them."""
+    options = cli._options(command)
+    (positional,) = [kwargs for name, kwargs in options if not name.startswith("-")]
+    required = {name for name, kwargs in options if kwargs.get("required")}
+    flags = [[(name,)] if kwargs.get("action") == "store_true"
+             else [(name, value) for value in kwargs.get("choices", ("1,0", "1/2,-3", ""))]
+             for name, kwargs in options if name.startswith("-")]
+    inputs = [(value,) for value in PLAIN_INPUTS] + [()] * (positional.get("nargs") == "?")
+    for k in range(len(flags) + 1):
+        for chosen in itertools.permutations(flags, k):
+            if required - {choices[0][0] for choices in chosen}:
+                continue
+            for groups in itertools.product(*chosen):
+                for given in inputs:
+                    for at in range(k + 1):
+                        yield (command, *itertools.chain(*groups[:at]), *given,
+                               *itertools.chain(*groups[at:]))
+
+
 def subcommands(parser) -> list[str]:
     (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return list(action.choices)
@@ -471,6 +511,20 @@ class TestParser:
         build = cli._build_parser
         monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
         assert outcome() == single
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_plain_parser_agrees_with_argparse(self, command):
+        parser = cli._build_parser(command)
+        lines = list(plain_lines(command))
+        for argv in lines:
+            plain = cli._parse_plain(list(argv))
+            assert plain is not None, argv
+            assert vars(plain) == vars(parser.parse_args(list(argv))), argv
+        assert len(lines) == {"norm": 168, "mapping-torus": 3436, "examples": 5}.get(command, 20)
+
+    @pytest.mark.parametrize("argv", PARSER_CASES + ARGPARSE_ONLY, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_plain_parser_declines_other_lines(self, argv):
+        assert cli._parse_plain(list(argv)) is None
 
     def test_builds_only_the_named_command(self):
         assert subcommands(cli._build_parser("norm")) == ["norm"]

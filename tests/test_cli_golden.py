@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from normforge.cli import main
+from normforge.cli import _parse_plain, main
 
 DATA = Path(__file__).resolve().parent / "golden"
 GOLDEN = DATA / "cli.json"
@@ -88,6 +88,10 @@ def golden():
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_matches_golden(golden, argv):
     assert run(argv) == golden[" ".join(argv)]
+
+
+def test_every_case_takes_the_plain_parser():
+    assert all(_parse_plain(list(argv)) is not None for argv in cases())
 
 
 def test_golden_has_no_stale_cases(golden):

@@ -21,8 +21,9 @@ import normforge
 
 LIBRARY = ("words", "laurent", "alexander", "polytope", "bns", "brown", "braid")
 # Standard modules no command should pay for unless its output needs them:
-# ``dataclasses`` pulls in ``inspect`` (and ``ast``, ``dis``, ``tokenize``).
-WATCHED = ("dataclasses", "fractions", "inspect", "json")
+# ``dataclasses`` pulls in ``inspect`` (and ``ast``, ``dis``, ``tokenize``);
+# ``argparse`` is for help, version and usage errors only.
+WATCHED = ("argparse", "dataclasses", "fractions", "inspect", "json")
 
 _PRELUDE = """
 import sys
@@ -42,8 +43,11 @@ print(json.dumps({"status": status, "executed": executed, "loaded": loaded}))
 
 _RUN_MAIN = """
 from normforge.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    status = main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        status = main(sys.argv[1:])
+    except SystemExit as exc:  # help, version and usage errors
+        status = exc.code
 """
 
 
@@ -87,9 +91,15 @@ FOX_ROUTE = [*BRAID, "alexander"]
 def test_command_runs_only_the_modules_it_uses(argv, executed):
     # Of the WATCHED modules, a command loads fractions only through
     # polytope, json only for --format json (the last case shows that the
-    # probe sees an import), and never dataclasses or inspect.
+    # probe sees an import), and never argparse, dataclasses or inspect.
     loaded = ["fractions"] * ("polytope" in executed) + ["json"] * ("json" in argv)
     assert probe(_RUN_MAIN, *argv) == {"status": 0, "executed": sorted(executed), "loaded": loaded}
+
+
+@pytest.mark.parametrize("argv, status", [(("alexander", "-h"), 0), (("norm", "@section6.pres"), 2)])
+def test_help_and_usage_errors_load_argparse(argv, status):
+    # The probe sees argparse: help and a usage error (here a missing --phi) load it.
+    assert probe(_RUN_MAIN, *argv) == {"status": status, "executed": [], "loaded": ["argparse"]}
 
 
 def test_package_import_runs_no_library_module():
