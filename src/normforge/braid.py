@@ -45,6 +45,7 @@ from .laurent import (
     LaurentPoly,
     exponent_map,
     poly_matrix_det,
+    unpack,
 )
 from .words import (
     Generator,
@@ -59,9 +60,9 @@ BraidLetter = tuple[int, int]  # (generator index in 1..n-1, sign)
 # Most strands a BraidWord may have: ``burau`` builds an (n-1) x (n-1) matrix,
 # so ``n=100000: 1`` would exhaust memory.  The bound caps that matrix, not the
 # determinant after it: on gamma(256), one subprocess run of ``normforge burau``
-# takes 0.5-0.9 s and 33 MB, and one of ``normforge mapping-torus`` 30-42 s and
-# 455 MB, nearly all in the 255 x 255 determinant det(wI - B) (2-vCPU x86-64
-# VM shared with other load, Python 3.11.7).
+# takes 0.18-0.22 s and 26 MB, and one of ``normforge mapping-torus`` 30-42 s
+# and 455 MB, nearly all in the 255 x 255 determinant det(wI - B) (2-vCPU
+# x86-64 VM shared with other load, Python 3.11.7).
 MAX_STRANDS = 256
 
 
@@ -89,6 +90,8 @@ class BraidWord:
         return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            return NotImplemented
         if self.strands != other.strands:
             raise ValueError("strand count mismatch")
         return BraidWord(self.strands, self.letters + other.letters)
@@ -198,23 +201,36 @@ def burau(b: BraidWord) -> BurauMatrix:
     True
     """
     dim = b.strands - 1
-    one = LaurentPoly.one(1)
-    zero = LaurentPoly.zero(1)
-    m = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    # cols[j + 1] is column j: one dict from row * R + (e + L) to the
+    # coefficient of t^e in that row, L the braid length and R = 2L + 1.  Each
+    # letter moves an exponent by at most 1, so e stays in [-L, L], the digit
+    # e + L in [0, R), and multiplying by t^±1 adds ±1 to a key without a
+    # carry.  cols[0] and cols[dim + 1] stay empty: the missing neighbours of
+    # the first and the last column.
     # A generator differs from I in column i only, so right-multiplying by
     # it rewrites that column: col_i <- l col_{i-1} + c col_i + r col_{i+1},
     # (l, c, r) = (t, -t, 1) for sigma_i and (1, -t^-1, t^-1) for its inverse.
+    low = len(b.letters)
+    radix = 2 * low + 1
+    cols = [{}, *({j * radix + low: 1} for j in range(dim)), {}]
     for idx, sign in b.letters:
-        i = idx - 1
-        shift = (sign,)
-        for row in m:
-            col = -row[i].shifted(shift)
-            if i > 0:
-                col = col + (row[i - 1].shifted(shift) if sign > 0 else row[i - 1])
-            if i < dim - 1:
-                col = col + (row[i + 1] if sign > 0 else row[i + 1].shifted(shift))
-            row[i] = col
-    return BurauMatrix(b.strands, tuple(tuple(row) for row in m))
+        col = {k + sign: -c for k, c in cols[idx].items()}
+        for j, shift in ((idx - 1, max(sign, 0)), (idx + 1, min(sign, 0))):
+            for k, c in cols[j].items():
+                k += shift
+                c += col.get(k, 0)
+                if c:
+                    col[k] = c
+                else:
+                    del col[k]
+        cols[idx] = col
+    grid = [[{} for _ in range(dim)] for _ in range(dim)]
+    for j, col in enumerate(cols[1:-1]):
+        for k, c in col.items():
+            grid[k // radix][j][k] = c
+    layout, zero = ([1], [radix], [low]), LaurentPoly.zero(1)
+    return BurauMatrix(b.strands, tuple(
+        tuple(unpack(1, layout, terms) if terms else zero for terms in row) for row in grid))
 
 
 # --------------------------------------------------------------------------

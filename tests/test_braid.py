@@ -37,6 +37,27 @@ def random_braid(rng, n=None, max_len=12):
     return BraidWord(n, letters)
 
 
+def dense_product(a, b):
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), LaurentPoly.zero(1))
+              for c in range(len(b[0])))
+        for r in range(len(a))
+    )
+
+
+def generator_matrix(n, i, sign):
+    """The dense image of sigma_{i+1}^sign: it differs from I in column i only,
+    with t above, -t on and 1 below the diagonal (1, -t^-1 and t^-1 for the
+    inverse)."""
+    one, zero, tinv = LaurentPoly.one(1), LaurentPoly.zero(1), LaurentPoly.monomial(1, (-1,))
+    column = (T, -T, one) if sign > 0 else (one, -tinv, tinv)
+    dense = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
+    for r, value in zip((i - 1, i, i + 1), column):
+        if 0 <= r < n - 1:
+            dense[r][i] = value
+    return tuple(tuple(row) for row in dense)
+
+
 class TestBraidWords:
     def test_parse(self):
         b = parse_braid("n=5: 1 2 -3 4")
@@ -69,6 +90,13 @@ class TestBraidWords:
             BraidWord(1, ())
         with pytest.raises(ValueError, match="signs must be ±1"):
             BraidWord(3, ((1, 2),))
+
+    def test_product_with_a_non_braid_is_a_type_error(self):
+        b = BraidWord(3, ((1, 1),))
+        with pytest.raises(TypeError):
+            b * 2
+        with pytest.raises(TypeError):
+            2 * b
 
     def test_strand_limit(self):
         n = braid.MAX_STRANDS
@@ -137,35 +165,44 @@ class TestBurau:
                 assert aba.entries == bab.entries
 
     def test_generator_matrices(self):
-        # sigma_i differs from I in column i: t above, -t on, 1 below the
-        # diagonal; sigma_i^-1 has 1, -t^-1, t^-1 there.
-        one, zero, tinv = LaurentPoly.one(1), LaurentPoly.zero(1), LaurentPoly.monomial(1, (-1,))
         for n in range(2, 6):
             for i in range(n - 1):
-                for sign, column in ((1, (T, -T, one)), (-1, (one, -tinv, tinv))):
-                    dense = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-                    for r, value in zip((i - 1, i, i + 1), column):
-                        if 0 <= r < n - 1:
-                            dense[r][i] = value
-                    m = burau(BraidWord(n, ((i + 1, sign),)))
-                    assert m.entries == tuple(tuple(row) for row in dense)
+                for sign in (1, -1):
+                    assert burau(BraidWord(n, ((i + 1, sign),))).entries == generator_matrix(n, i, sign)
 
     def test_homomorphism(self):
         rng = random.Random(1)
-
-        def dense_product(a, b):
-            return tuple(
-                tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), LaurentPoly.zero(1))
-                      for c in range(len(b[0])))
-                for r in range(len(a))
-            )
-
         for _ in range(25):
             n = rng.randint(2, 5)
             u = random_braid(rng, n=n, max_len=6)
             v = random_braid(rng, n=n, max_len=6)
             prod = burau(u * v)
             assert prod.entries == dense_product(burau(u).entries, burau(v).entries)
+
+    def test_matches_the_dense_product_of_generator_matrices(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            b = random_braid(rng, n=rng.randint(2, 14), max_len=40)
+            expected = burau(BraidWord(b.strands, ())).entries
+            for idx, sign in b.letters:
+                expected = dense_product(expected, generator_matrix(b.strands, idx - 1, sign))
+            assert burau(b).entries == expected, str(b)
+
+    def test_gamma_at_the_strand_limit(self):
+        # Closed form, as in the gamma_4 golden case: row 0 is -t, -t^2, ...,
+        # -t^(n-1), and row r > 0 has a 1 in column r - 1.
+        n = braid.MAX_STRANDS
+        one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
+        expected = (tuple(-LaurentPoly.monomial(1, (k,)) for k in range(1, n)),) + tuple(
+            tuple(one if c == r - 1 else zero for c in range(n - 1)) for r in range(1, n - 1)
+        )
+        assert burau(gamma(n)).entries == expected
+
+    def test_long_word_that_cancels_to_the_identity(self):
+        # (sigma_1 sigma_1^-1)^20000: the exponents stay within +-1 throughout,
+        # and no bound on the coefficients is needed before the product starts.
+        m = burau(BraidWord(3, ((1, 1), (1, -1)) * 20000))
+        assert m.entries == burau(BraidWord(3, ())).entries
 
     def test_determinant_is_unit(self):
         rng = random.Random(2)

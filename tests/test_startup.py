@@ -8,12 +8,20 @@ module already.  The probe also reports which of the costly standard
 modules in ``WATCHED`` the command added to ``sys.modules`` (an
 interpreter whose start-up already loads one is not held against the
 command); it imports ``json`` itself only after taking that list.
+
+It also lists every ``normforge`` module the command ran, whose code-only
+lines (no blank, comment-only or docstring lines) must stay under a
+ceiling pinned per command: the source each command compiles, as a count
+that cannot flake the way a timing would.
 """
 
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -37,8 +45,13 @@ executed = sorted(
     name for name in %r
     if "__builtins__" in object.__getattribute__(sys.modules["normforge." + name], "__dict__")
 )
+compiled = sorted(
+    name for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "normforge"
+    and "__builtins__" in object.__getattribute__(module, "__dict__")
+)
 import json
-print(json.dumps({"status": status, "executed": executed, "loaded": loaded}))
+print(json.dumps({"status": status, "executed": executed, "loaded": loaded, "compiled": compiled}))
 """ % (WATCHED, LIBRARY)
 
 _RUN_MAIN = """
@@ -65,6 +78,28 @@ def probe(setup: str, *argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER)
+
+
+def code_lines(module: str) -> int:
+    """Lines of ``module`` (say ``normforge.cli``) that hold code, docstrings excluded."""
+    parts = module.split(".")[1:] or ["__init__"]
+    path = os.path.join(os.path.dirname(os.path.abspath(normforge.__file__)), *parts) + ".py"
+    with open(path, encoding="utf-8") as f:
+        source = f.read()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 PRES = ["alexander", "laurent", "words"]
 HULL = [*PRES, "polytope"]
 CONES = [*HULL, "bns", "brown"]
@@ -72,38 +107,52 @@ BRAID = ["braid", "laurent", "words"]
 FOX_ROUTE = [*BRAID, "alexander"]
 
 
+BASE = ["normforge", "normforge.cli", "normforge.errors"]
+
+
 @pytest.mark.parametrize(
-    "argv, executed",
+    "argv, executed, ceiling",
     [
-        (("examples",), []),
-        (("examples", "section6.pres"), []),
-        (("alexander", "@section6.pres"), PRES),
-        (("check", "@section6.pres"), HULL),
-        (("norm-ball", "@section6.pres"), HULL),
-        (("compare-question-b", "@section6.pres"), CONES),
-        (("sigma-brown", "@section6.pres"), CONES),
-        (("burau", "@gamma_3.braid"), BRAID),
-        (("mapping-torus", "--cross-check", "@gamma_3.braid"), FOX_ROUTE),
-        (("norm-ball", "--format", "json", "@section6.pres"), HULL),
-        (("mapping-torus", "@gamma_3.braid"), BRAID),
+        (("examples",), [], 562),
+        (("examples", "section6.pres"), [], 562),
+        (("alexander", "@section6.pres"), PRES, 1668),
+        (("check", "@section6.pres"), HULL, 1900),
+        (("norm-ball", "@section6.pres"), HULL, 1900),
+        (("compare-question-b", "@section6.pres"), CONES, 2149),
+        (("sigma-brown", "@section6.pres"), CONES, 2149),
+        (("burau", "@gamma_3.braid"), BRAID, 1664),
+        (("mapping-torus", "--cross-check", "@gamma_3.braid"), FOX_ROUTE, 1873),
+        (("norm-ball", "--format", "json", "@section6.pres"), HULL, 1900),
+        (("mapping-torus", "@gamma_3.braid"), BRAID, 1664),
     ],
 )
-def test_command_runs_only_the_modules_it_uses(argv, executed):
+def test_command_runs_only_the_modules_it_uses(argv, executed, ceiling):
     # Of the WATCHED modules, a command loads fractions only through
     # polytope, json only for --format json (the last case shows that the
     # probe sees an import), and never argparse, dataclasses or inspect.
+    # Every library module runs through ``_record``.
     loaded = ["fractions"] * ("polytope" in executed) + ["json"] * ("json" in argv)
-    assert probe(_RUN_MAIN, *argv) == {"status": 0, "executed": sorted(executed), "loaded": loaded}
+    compiled = sorted(BASE + ["normforge." + name for name in [*executed, "_record"] * bool(executed)])
+    assert probe(_RUN_MAIN, *argv) == {
+        "status": 0, "executed": sorted(executed), "loaded": loaded, "compiled": compiled
+    }
+    # The ceiling is the count when it was pinned: raise it in the change
+    # that grows what the command compiles, and lower it when code goes.
+    assert sum(map(code_lines, compiled)) <= ceiling
 
 
 @pytest.mark.parametrize("argv, status", [(("alexander", "-h"), 0), (("norm", "@section6.pres"), 2)])
 def test_help_and_usage_errors_load_argparse(argv, status):
     # The probe sees argparse: help and a usage error (here a missing --phi) load it.
-    assert probe(_RUN_MAIN, *argv) == {"status": status, "executed": [], "loaded": ["argparse"]}
+    assert probe(_RUN_MAIN, *argv) == {
+        "status": status, "executed": [], "loaded": ["argparse"], "compiled": BASE
+    }
 
 
 def test_package_import_runs_no_library_module():
-    assert probe("import normforge; status = 0") == {"status": 0, "executed": [], "loaded": []}
+    assert probe("import normforge; status = 0") == {
+        "status": 0, "executed": [], "loaded": [], "compiled": ["normforge", "normforge.errors"]
+    }
 
 
 def test_reimport_keeps_one_module_object_per_name():
